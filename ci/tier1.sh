@@ -58,7 +58,7 @@ echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 CARGO_TARGET_DIR=target/lwt-model \
     RUSTFLAGS="${RUSTFLAGS:-} --cfg lwt_model" \
     timeout 600 cargo test -q --offline -p lwt-model
-echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker)"
+echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker + unitpark)"
 
 echo "== tier1: trace-export smoke (LWT_TRACE=1)"
 # One real microbench run with tracing on must produce a parseable
@@ -160,15 +160,18 @@ assert "seed" in chaos and "sites" in chaos, "chaos section must carry replay st
 print(f"   ok: well-formed bundle {os.path.basename(dumps[0])} ({len(dumps)} dump(s))")
 PY
 
-echo "== tier1: idle-CPU smoke (passive wait policy must not spin)"
+echo "== tier1: idle-CPU smoke (parked pools and blocked sockets must not spin)"
 # A quiescent pool in passive mode must burn near-zero process CPU
 # across every backend — the acceptance probe for worker parking —
-# and the park/unpark counters must balance once everything is
-# finalized. The binary asserts both and exits non-zero on violation
-# (tolerances: LWT_IDLE_CPU_TOLERANCE_MS, default 150 ms per 800 ms
-# idle window).
-cargo run --release --offline -q -p lwt-microbench --bin idle_cpu
-echo "   ok: parked pools idle at ~zero CPU; park/unpark counters balance"
+# and so must the same pool with idle sockets: one acceptor ULT and
+# four reader ULTs blocked on quiet connections are *suspended*, so
+# their window costs what the empty one does (the fence against a
+# relax loop creeping back into the I/O wait path). The park/unpark
+# counters must balance once everything is finalized. The binary
+# asserts all of it and exits non-zero on violation (tolerances:
+# LWT_IDLE_CPU_TOLERANCE_MS, default 150 ms per 800 ms idle window).
+cargo run --release --offline -q --bin idle_cpu
+echo "   ok: parked pools and blocked sockets idle at ~zero CPU; park/unpark counters balance"
 
 echo "== tier1: serving smoke (reactor echo, 100 clients x 5 backends)"
 # The lwt-net reactor must carry a loopback echo server with 100

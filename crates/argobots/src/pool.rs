@@ -1,5 +1,6 @@
 //! Work-unit pools and pool topology policies.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use lwt_sched::{Injector, ParkGroup, SharedQueue};
@@ -50,23 +51,37 @@ pub(crate) struct PoolShared {
     /// installation skip the wake — at that point no stream has had a
     /// chance to park.
     waker: OnceLock<(Arc<ParkGroup>, Option<usize>)>,
+    /// ULTs whose home is this pool and that are suspended — in no
+    /// queue, so invisible to `len`. The drain contract: a stream does
+    /// not exit on `stop` while one of its pools still counts any.
+    /// Raised before the unit parks, lowered after its resume pushed
+    /// it back, so "zero, then still empty" proves nothing is owed.
+    pub(crate) suspended: AtomicUsize,
 }
 
 impl PoolShared {
+    fn with_queue(queue: PoolQueue) -> Self {
+        PoolShared {
+            queue,
+            waker: OnceLock::new(),
+            suspended: AtomicUsize::new(0),
+        }
+    }
+
     /// Lock-free MPSC pool (private-per-stream layout).
     pub(crate) fn new() -> Self {
-        PoolShared {
-            queue: PoolQueue::Mpsc(Injector::new()),
-            waker: OnceLock::new(),
-        }
+        Self::with_queue(PoolQueue::Mpsc(Injector::new()))
     }
 
     /// Lock-based MPMC pool (shared-single layout).
     pub(crate) fn new_shared() -> Self {
-        PoolShared {
-            queue: PoolQueue::Shared(SharedQueue::new()),
-            waker: OnceLock::new(),
-        }
+        Self::with_queue(PoolQueue::Shared(SharedQueue::new()))
+    }
+
+    /// Whether the pool owes its streams nothing more: no suspended
+    /// unit, and (checked second — see `suspended`) no queued one.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.suspended.load(Ordering::Acquire) == 0 && self.len() == 0
     }
 
     /// Install the wake hook (idempotent; first install wins).

@@ -246,6 +246,7 @@ impl Runtime {
             stack: UnsafeCell::new(None),
             entry: UnsafeCell::new(Some(entry)),
             home: UnsafeCell::new(Some(pool.clone())),
+            park: lwt_sched::UnitPark::new(),
             panic: UnsafeCell::new(None),
             spawn_ns: std::sync::atomic::AtomicU64::new(timestamp_if_tracing()),
             span: lwt_metrics::span::on_spawn(),
@@ -425,17 +426,20 @@ impl Runtime {
             }
         }
         if timed_out {
-            let stragglers = self
-                .inner
-                .pools
-                .lock()
-                .iter()
+            let pools = self.inner.pools.lock();
+            let queued = pools.iter().map(|p| (p.len(), "stream pool"));
+            let parked = pools.iter().map(|p| {
+                let n = p.suspended.load(Ordering::Acquire);
+                (n, "suspended units (blocked, in no pool)")
+            });
+            let stragglers = queued
                 .enumerate()
-                .filter(|(_, p)| p.len() > 0)
-                .map(|(worker, p)| Straggler {
+                .chain(parked.enumerate())
+                .filter(|&(_, (pending, _))| pending > 0)
+                .map(|(worker, (pending, what))| Straggler {
                     worker,
-                    pending: p.len(),
-                    what: "stream pool",
+                    pending,
+                    what,
                 })
                 .collect();
             Err(DrainError {

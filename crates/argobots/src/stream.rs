@@ -19,6 +19,7 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 
 use lwt_fiber::{switch, switch_final, RawContext};
 use lwt_metrics::registry::{emit, COUNTERS};
@@ -28,7 +29,9 @@ use lwt_sync::{Backoff, SpinLock};
 
 use crate::pool::PoolShared;
 use crate::sched::{BasicScheduler, Pick, SchedContext, Scheduler};
-use crate::unit::{record_spawn_latency, Unit, UltHandle, UltInner, READY, RUNNING, TERMINATED};
+use crate::unit::{
+    record_spawn_latency, Unit, UltHandle, UltInner, BLOCKED, READY, RUNNING, TERMINATED,
+};
 
 /// Deferred action executed by whoever gains control after a switch.
 pub(crate) enum Post {
@@ -37,6 +40,9 @@ pub(crate) enum Post {
     Requeue(Arc<UltInner>),
     /// Mark TERMINATED (the ULT finished; its stack is now quiescent).
     Terminated(Arc<UltInner>),
+    /// Park the ULT off every pool (`self_suspend`) unless a resume
+    /// already raced in, in which case requeue immediately.
+    Block(Arc<UltInner>),
 }
 
 /// Stream-local execution context, owned by the stream's OS thread and
@@ -123,7 +129,9 @@ pub(crate) fn es_main(shared: &StreamShared) {
                 unsafe { execute(es, unit.0) };
             }
             Pick::Idle => {
-                if shared.stop.load(Ordering::Acquire) {
+                if shared.stop.load(Ordering::Acquire)
+                    && shared.pools.iter().all(|p| p.is_drained())
+                {
                     break;
                 }
                 timeline::enter(timeline::WorkerState::Idle);
@@ -260,6 +268,49 @@ pub(crate) unsafe fn process_post(es: *mut EsCtx) {
         Post::Terminated(u) => {
             u.state.store(TERMINATED, Ordering::Release);
         }
+        Post::Block(u) => {
+            // SAFETY: `home` is written once at creation.
+            let home = unsafe { (*u.home.get()).clone().expect("ULT has no home pool") };
+            // Counted before parking, so the decrement of the resume
+            // that ends this suspension can never precede it.
+            home.suspended.fetch_add(1, Ordering::Relaxed);
+            u.state.store(BLOCKED, Ordering::Release);
+            if !u.park.park() {
+                // resume() arrived while the ULT was still switching
+                // away: it is runnable again right now.
+                requeue_resumed(&home, u);
+            }
+        }
+    }
+}
+
+/// Second half of a resume, run by whichever side of the
+/// [`lwt_sched::UnitPark`] handshake owns the requeue: publish READY,
+/// push, and only then stop counting the unit as suspended (a stream
+/// that reads zero must also see the pool entry).
+fn requeue_resumed(home: &PoolShared, u: Arc<UltInner>) {
+    u.state.store(READY, Ordering::Release);
+    home.push(Unit::Ult(u));
+    home.suspended.fetch_sub(1, Ordering::Release);
+}
+
+/// Make a suspended ULT runnable again in its home pool
+/// (`ABT_thread_resume`); see [`UltHandle::resume`].
+pub(crate) fn resume(u: &Arc<UltInner>) {
+    if u.park.unpark() {
+        // SAFETY: `home` is written once at creation.
+        let home = unsafe { (*u.home.get()).clone().expect("ULT has no home pool") };
+        requeue_resumed(&home, u.clone());
+    }
+}
+
+impl Wake for UltInner {
+    fn wake(self: Arc<Self>) {
+        resume(&self);
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        resume(self);
     }
 }
 
@@ -320,6 +371,52 @@ pub fn yield_now() {
         let es = es_ptr();
         process_post(es);
     }
+}
+
+/// Park the calling ULT (`ABT_self_suspend`): it leaves every pool and
+/// costs its stream nothing until [`UltHandle::resume`] or a
+/// [`unit_waker`] puts it back in its home pool. A resume that arrived
+/// since the last suspend makes this return immediately, so callers
+/// loop on their condition.
+///
+/// # Panics
+///
+/// Panics when called outside a ULT.
+pub fn self_suspend() {
+    let es = es_ptr();
+    assert!(
+        !es.is_null() && unsafe { (*es).current.is_some() },
+        "lwt_argobots::self_suspend() outside a ULT"
+    );
+    // SAFETY: same switching protocol as yield_now; the park itself is
+    // deferred to the post-switch processing, which also resolves
+    // races with concurrent resume() calls.
+    unsafe {
+        let me = (*es).current.take().expect("suspending ULT not current");
+        let my_ctx: *mut RawContext = me.ctx.get();
+        (*es).post = Post::Block(me);
+        let sched = (*es).sched_ctx;
+        switch(&mut *my_ctx, sched);
+        let es = es_ptr();
+        process_post(es);
+    }
+}
+
+/// A [`Waker`] that resumes the calling ULT — a clone of the unit's
+/// own `Arc`, so building one allocates nothing. Pair it with
+/// [`self_suspend`]: publish the waker, re-check the condition,
+/// suspend.
+///
+/// # Panics
+///
+/// Panics when called outside a ULT.
+#[must_use]
+pub fn unit_waker() -> Waker {
+    let es = es_ptr();
+    assert!(!es.is_null(), "lwt_argobots::unit_waker() outside a ULT");
+    // SAFETY: live EsCtx of this thread.
+    let me = unsafe { (*es).current.clone() };
+    Waker::from(me.expect("lwt_argobots::unit_waker() outside a ULT"))
 }
 
 /// Transfer control directly to `target`, bypassing the scheduler

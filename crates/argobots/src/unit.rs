@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use lwt_fiber::{CachedStack, RawContext};
 use lwt_metrics::registry::SPAWN_LATENCY;
+use lwt_sched::UnitPark;
 use lwt_ultcore::{JoinError, PollTask};
 
 use crate::pool::PoolShared;
@@ -20,16 +21,21 @@ pub enum UnitState {
     Running,
     /// Completed; joiners may proceed and the structure may be freed.
     Terminated,
+    /// Suspended by [`crate::self_suspend`] (`ABT_THREAD_STATE_BLOCKED`):
+    /// in no pool until [`UltHandle::resume`] or its waker fires.
+    Blocked,
 }
 
 pub(crate) const READY: u8 = 0;
 pub(crate) const RUNNING: u8 = 1;
 pub(crate) const TERMINATED: u8 = 2;
+pub(crate) const BLOCKED: u8 = 3;
 
 fn state_from_u8(v: u8) -> UnitState {
     match v {
         READY => UnitState::Ready,
         RUNNING => UnitState::Running,
+        BLOCKED => UnitState::Blocked,
         _ => UnitState::Terminated,
     }
 }
@@ -61,8 +67,11 @@ pub(crate) struct UltInner {
     pub(crate) stack: UnsafeCell<Option<CachedStack>>,
     /// Entry closure, taken exactly once at first execution.
     pub(crate) entry: UnsafeCell<Option<Entry>>,
-    /// Pool this ULT returns to when it yields.
+    /// Pool this ULT returns to when it yields or is resumed.
     pub(crate) home: UnsafeCell<Option<Arc<PoolShared>>>,
+    /// The `self_suspend`/`resume` handshake — the same machine the
+    /// ultcore runtimes use.
+    pub(crate) park: UnitPark,
     /// Panic payload captured from the entry closure, re-raised at join.
     pub(crate) panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
     /// Creation timestamp for the spawn-to-first-run histogram; zero
@@ -212,6 +221,14 @@ impl<T> UltHandle<T> {
     #[must_use]
     pub fn is_finished(&self) -> bool {
         self.inner.is_terminated()
+    }
+
+    /// Make a [`crate::self_suspend`]ed ULT runnable again in its home
+    /// pool (`ABT_thread_resume`). Callable from any thread; a resume
+    /// that overtakes the suspend is remembered and makes that suspend
+    /// return at once.
+    pub fn resume(&self) {
+        crate::stream::resume(&self.inner);
     }
 }
 

@@ -271,8 +271,10 @@ pub enum BlockKind {
     Event,
     /// A runtime drain (`Glt::finalize` and backend shutdowns).
     Finalize,
-    /// An I/O readiness wait on the reactor (`lwt-net`): a ULT
-    /// relax-looping until its socket registration turns ready.
+    /// An I/O readiness wait on the reactor (`lwt-net`): a ULT (or OS
+    /// thread) suspended in a synchronous socket call until its
+    /// registration's waker fires. Long is normal here — an acceptor
+    /// on a quiet listener — so a report is a prompt, not a verdict.
     Io,
 }
 

@@ -59,8 +59,8 @@ use lwt_metrics::EventKind;
 use lwt_sched::{Injector, ParkGroup, RoundRobin};
 use lwt_sync::{SenseBarrier, SpinLock};
 use lwt_ultcore::{
-    enter_worker, join_within, run_ult, wait_until, DrainError, PollTask, Requeue, ResultCell,
-    Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    enter_worker, join_within, may_exit, run_ult, suspended_stragglers, wait_until, DrainError,
+    PollTask, Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
 };
 
 pub use lwt_ultcore::{current_worker as current_processor, in_ult, yield_now, JoinError};
@@ -113,6 +113,8 @@ struct Proc {
 
 struct RtInner {
     procs: Vec<Arc<Proc>>,
+    /// ULTs suspended on each processor ([`Requeue::suspended`]).
+    suspended: Vec<AtomicUsize>,
     /// Idle-processor parking. Converse queues are single-consumer, so
     /// wakes are strictly targeted ([`ParkGroup::notify_worker`]):
     /// waking anyone but the queue's owner cannot help.
@@ -145,10 +147,6 @@ pub struct Runtime {
 pub struct UltHandle<T> {
     ult: Arc<UltCore>,
     result: Arc<ResultCell<T>>,
-    /// The owning processor — Converse ULTs never migrate, so awaken
-    /// re-queues there.
-    proc: usize,
-    rt: Runtime,
 }
 
 impl<T> UltHandle<T> {
@@ -190,15 +188,12 @@ impl<T> UltHandle<T> {
         self.ult.is_terminated()
     }
 
-    /// Resume a [`suspend`]ed ULT on its own processor (`CthAwaken`).
-    /// Returns `false` when the ULT is not suspended.
+    /// Resume a [`suspend`]ed ULT on its own processor (`CthAwaken`) —
+    /// Converse ULTs never migrate, so the processor it suspended on is
+    /// the one that created it. A wake that overtakes the suspend is
+    /// remembered. Returns `false` once the ULT has terminated.
     pub fn awaken(&self) -> bool {
-        let inner = self.rt.inner.clone();
-        let proc = self.proc;
-        lwt_ultcore::awaken(&self.ult, move |u| {
-            inner.procs[proc].queue.push(ConvUnit::Ult(u));
-            inner.park.notify_worker(proc);
-        })
+        lwt_ultcore::awaken(&self.ult)
     }
 }
 
@@ -228,6 +223,7 @@ impl Runtime {
             .collect();
         let inner = Arc::new(RtInner {
             park: ParkGroup::new(procs.len()),
+            suspended: procs.iter().map(|_| AtomicUsize::new(0)).collect(),
             procs,
             stack_size: config.stack_size,
             outstanding: AtomicUsize::new(0),
@@ -382,12 +378,7 @@ impl Runtime {
         emit(EventKind::UltSpawn, proc as u64);
         self.inner.procs[proc].queue.push(ConvUnit::Ult(ult.clone()));
         self.inner.park.notify_worker(proc);
-        UltHandle {
-            ult,
-            result,
-            proc,
-            rt: self.clone(),
-        }
+        UltHandle { ult, result }
     }
 
     /// Return-mode join: wait until every queued work unit (including
@@ -498,6 +489,7 @@ impl Runtime {
                     pending: p.queue.len(),
                     what: "processor queue",
                 })
+                .chain(suspended_stragglers(&self.inner.suspended))
                 .collect();
             Err(DrainError {
                 waited: deadline,
@@ -530,17 +522,28 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
+impl Requeue for RtInner {
+    fn requeue(&self, worker: usize, u: Arc<UltCore>) {
+        // Yielded ULTs return to their current processor's queue —
+        // ULTs never migrate through another queue (messages only).
+        self.procs[worker].queue.push(ConvUnit::Ult(u));
+    }
+
+    fn wake(&self, worker: usize, u: Arc<UltCore>) {
+        // So do awakened ones (`CthAwaken`) — but the wake may come
+        // from the reactor or a timer while the processor sleeps.
+        self.requeue(worker, u);
+        self.park.notify_worker(worker);
+    }
+
+    fn suspended(&self, worker: usize) -> Option<&AtomicUsize> {
+        Some(&self.suspended[worker])
+    }
+}
+
 fn proc_main(inner: &Arc<RtInner>, p: usize) {
     let proc = inner.procs[p].clone();
-    let requeue: Arc<dyn Requeue> = {
-        let procs = inner.procs.clone();
-        Arc::new(move |worker: usize, u: Arc<UltCore>| {
-            // Yielded ULTs return to their current processor's queue —
-            // ULTs never migrate through another queue (messages only).
-            procs[worker].queue.push(ConvUnit::Ult(u));
-        })
-    };
-    let _guard = enter_worker(p, requeue);
+    let _guard = enter_worker(p, inner.clone());
     let heartbeat = lwt_chaos::register_worker("converse", p);
     let mut backoff = lwt_sync::Backoff::new();
     loop {
@@ -590,7 +593,9 @@ fn proc_main(inner: &Arc<RtInner>, p: usize) {
                     }
                     continue;
                 }
-                if inner.stop.load(Ordering::Acquire) {
+                if inner.stop.load(Ordering::Acquire)
+                    && may_exit(&inner.suspended[p], || proc.queue.is_empty())
+                {
                     break;
                 }
                 // No steal phase here: Converse ULTs never migrate, so

@@ -1,6 +1,7 @@
 //! The generic LWT interface over the five runtime backends.
 
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 use lwt_fiber::StackSize;
@@ -513,11 +514,12 @@ fn relax_for(kind: BackendKind) -> impl FnMut() {
 /// inside one. From an ordinary OS thread this is a no-op returning
 /// `false`.
 ///
-/// This is the backend-agnostic building block for libraries layered
-/// *above* the GLT API (the `lwt-net` reactor's readiness waits) that
-/// must spin politely without knowing which runtime is hosting them:
-/// each backend's ULT context is thread-local, so probing all of them
-/// finds the right one regardless of which `Glt` spawned the caller.
+/// This is the backend-agnostic building block for code layered
+/// *above* the GLT API that must relax politely without knowing which
+/// runtime is hosting it: each backend's ULT context is thread-local,
+/// so probing all of them finds the right one regardless of which
+/// `Glt` spawned the caller. To wait for an *event*, suspend instead:
+/// [`block_unit_on`].
 pub fn yield_unit() -> bool {
     if lwt_argobots::in_ult() {
         lwt_argobots::yield_now();
@@ -530,6 +532,65 @@ pub fn yield_unit() -> bool {
         true
     } else {
         false
+    }
+}
+
+thread_local! {
+    /// The calling OS thread's unpark waker, built once per thread so
+    /// a blocking wait from a plain thread allocates only the first
+    /// time.
+    static THREAD_WAKER: Waker = Waker::from(Arc::new(ThreadUnpark(std::thread::current())));
+}
+
+struct ThreadUnpark(std::thread::Thread);
+
+impl Wake for ThreadUnpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+/// Block the calling context on a poll function, suspending *the unit,
+/// not the worker*: the one wait primitive for code layered above the
+/// GLT API (every synchronous `lwt-net` socket call is this function
+/// over the same `poll_*` the async path awaits).
+///
+/// `poll` is called with a [`Context`] whose waker resumes the caller,
+/// whatever the caller is:
+///
+/// * an Argobots ULT — `self_suspend`, resumed into its home pool
+///   (`ABT_thread_resume`);
+/// * a ULT of any other backend — `lwt_ultcore::suspend`, awakened
+///   through its runtime's `Requeue::wake` hook
+///   (`CthSuspend`/`CthAwaken`);
+/// * a plain OS thread — `thread::park`/`unpark`.
+///
+/// Each `Pending` suspends until the waker fires, then polls again.
+/// `poll` must follow the usual future contract — publish
+/// `cx.waker()` where the event source will find it, *then* re-check
+/// the condition, and only then return `Pending` — because all three
+/// suspends take a wake that arrived early as a reason to return at
+/// once, never as lost. Spurious re-polls are possible and harmless.
+/// The steady state allocates nothing: a ULT's waker is a clone of
+/// its own `Arc`.
+pub fn block_unit_on<T>(mut poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
+    let (waker, suspend): (Waker, fn()) = if lwt_argobots::in_ult() {
+        (lwt_argobots::unit_waker(), lwt_argobots::self_suspend)
+    } else if lwt_ultcore::in_ult() {
+        (lwt_ultcore::unit_waker(), lwt_ultcore::suspend)
+    } else {
+        (THREAD_WAKER.with(Waker::clone), std::thread::park)
+    };
+    let mut cx = Context::from_waker(&waker);
+    loop {
+        if let Poll::Ready(out) = poll(&mut cx) {
+            return out;
+        }
+        suspend();
     }
 }
 

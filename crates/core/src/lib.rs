@@ -57,7 +57,7 @@ pub use caps::{
 };
 pub use error::{BlockingPoolError, PlacementError, SpawnError};
 pub use glt::{
-    default_workers, yield_unit, AsyncQueuePolicy, BackendKind, Glt, GltBuilder, GltConfig,
+    block_unit_on, default_workers, yield_unit, AsyncQueuePolicy, BackendKind, Glt, GltBuilder, GltConfig,
     GltHandle, SchedPolicy,
 };
 pub use pm::{Pm, TaskScope};

@@ -63,8 +63,9 @@ use lwt_metrics::EventKind;
 use lwt_sched::{near_first, ParkGroup, ReadyQueue};
 use lwt_sync::{Channel, CountLatch, RecvError, SendError, SpinLock};
 use lwt_ultcore::{
-    current_worker, enter_worker, in_ult, join_within, run_unit, wait_until, DrainError, PollTask,
-    ReadyUnit, Requeue, Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    current_worker, enter_worker, in_ult, join_within, may_exit, run_unit, suspended_stragglers,
+    wait_until, DrainError, PollTask, ReadyUnit, Requeue, Straggler, TaskResched, UltCore,
+    ABANDON_GRACE,
 };
 
 /// Runtime configuration.
@@ -92,6 +93,8 @@ struct RtInner {
     /// Goroutines and stackless future tasks share the queues
     /// ([`ReadyUnit`]).
     queues: Vec<ReadyQueue<ReadyUnit>>,
+    /// Goroutines suspended on each worker ([`Requeue::suspended`]).
+    suspended: Vec<AtomicUsize>,
     /// Idle-worker parking (wake-one); every push site notifies.
     park: ParkGroup,
     next: AtomicUsize,
@@ -122,6 +125,7 @@ impl Runtime {
         assert!(config.num_threads > 0, "need at least one thread");
         let inner = Arc::new(RtInner {
             queues: (0..config.num_threads).map(|_| ReadyQueue::new()).collect(),
+            suspended: (0..config.num_threads).map(|_| AtomicUsize::new(0)).collect(),
             park: ParkGroup::new(config.num_threads),
             next: AtomicUsize::new(0),
             stack_size: config.stack_size,
@@ -318,6 +322,7 @@ impl Runtime {
                     pending: q.len(),
                     what: "goroutine ready queue",
                 })
+                .chain(suspended_stragglers(&self.inner.suspended))
                 .collect();
             Err(DrainError {
                 waited: deadline,
@@ -353,15 +358,27 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
+impl Requeue for RtInner {
+    fn requeue(&self, w: usize, u: Arc<UltCore>) {
+        self.queues[w].push(u.into());
+        self.park.notify_near(w);
+    }
+
+    fn wake(&self, w: usize, u: Arc<UltCore>) {
+        // Like a yield, a woken goroutine must stay stealable should
+        // this worker be tied up in a long unit — and a foreign thread
+        // (reactor, timer) can only offer that through the shared lane.
+        self.queues[w].push_shared(u.into());
+        self.park.notify_near(w);
+    }
+
+    fn suspended(&self, w: usize) -> Option<&AtomicUsize> {
+        Some(&self.suspended[w])
+    }
+}
+
 fn worker_main(inner: &Arc<RtInner>, id: usize) {
-    let requeue: Arc<dyn Requeue> = {
-        let q = inner.clone();
-        Arc::new(move |w: usize, u: Arc<UltCore>| {
-            q.queues[w].push(u.into());
-            q.park.notify_near(w);
-        })
-    };
-    let _guard = enter_worker(id, requeue);
+    let _guard = enter_worker(id, inner.clone());
     inner.queues[id].bind();
     let n = inner.queues.len();
     let mut backoff = lwt_sync::Backoff::new();
@@ -402,7 +419,9 @@ fn worker_main(inner: &Arc<RtInner>, id: usize) {
                 run_unit(&u);
             }
             None => {
-                if inner.stop.load(Ordering::Acquire) {
+                if inner.stop.load(Ordering::Acquire)
+                    && may_exit(&inner.suspended[id], || inner.queues[id].is_empty())
+                {
                     break;
                 }
                 lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);

@@ -45,7 +45,7 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
@@ -54,8 +54,9 @@ use lwt_metrics::{clock, EventKind};
 use lwt_sched::{near_first, ParkGroup, ParkResult, RandomVictim, ReadyQueue};
 use lwt_sync::SpinLock;
 use lwt_ultcore::{
-    enter_worker, join_within, run_unit, wait_until, yield_to, DrainError, PollTask, ReadyUnit,
-    Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    enter_worker, join_within, may_exit, run_unit, suspended_stragglers, wait_until, yield_to,
+    DrainError, PollTask, ReadyUnit, Requeue, ResultCell, Straggler, TaskResched, UltCore,
+    ABANDON_GRACE,
 };
 
 pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
@@ -97,6 +98,8 @@ struct RtInner {
     /// ULTs and stackless future tasks share the queues
     /// ([`ReadyUnit`]).
     queues: Vec<ReadyQueue<ReadyUnit>>,
+    /// ULTs suspended on each worker ([`Requeue::suspended`]).
+    suspended: Vec<AtomicUsize>,
     /// Idle-worker parking (wake-one); every push site notifies.
     park: ParkGroup,
     threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
@@ -176,6 +179,7 @@ impl Runtime {
         assert!(config.num_workers > 0, "need at least one worker");
         let inner = Arc::new(RtInner {
             queues: (0..config.num_workers).map(|_| ReadyQueue::new()).collect(),
+            suspended: (0..config.num_workers).map(|_| AtomicUsize::new(0)).collect(),
             park: ParkGroup::new(config.num_workers),
             threads: SpinLock::new(Vec::new()),
             stop: AtomicBool::new(false),
@@ -433,6 +437,7 @@ impl Runtime {
                     pending: q.len(),
                     what: "worker deque",
                 })
+                .chain(suspended_stragglers(&self.inner.suspended))
                 .collect();
             Err(DrainError {
                 waited: deadline,
@@ -465,22 +470,32 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
+impl Requeue for RtInner {
+    fn requeue(&self, worker: usize, u: Arc<UltCore>) {
+        // Yielded/displaced ULTs go to the *back* of the current
+        // worker's queue (the inbox): the owner pops its deque LIFO, so
+        // queued children run before a yield-looping joiner (progress),
+        // and the displaced main flow becomes stealable once the owner
+        // batches the inbox onto the deque — the paper's "another
+        // thread steals the main task".
+        self.queues[worker].inject(u.into());
+        self.park.notify_near(worker);
+    }
+
+    fn wake(&self, worker: usize, u: Arc<UltCore>) {
+        // Fired from another thread (reactor, timer): the shared lane,
+        // which thieves can reach even while this worker is tied up.
+        self.queues[worker].push_shared(u.into());
+        self.park.notify_near(worker);
+    }
+
+    fn suspended(&self, worker: usize) -> Option<&AtomicUsize> {
+        Some(&self.suspended[worker])
+    }
+}
+
 fn worker_main(inner: &Arc<RtInner>, w: usize) {
-    let requeue: Arc<dyn Requeue> = {
-        let q = inner.clone();
-        Arc::new(move |worker: usize, u: Arc<UltCore>| {
-            // Yielded/displaced ULTs go to the *back* of the current
-            // worker's queue (the inbox): the owner pops its deque
-            // LIFO, so queued children run before a yield-looping
-            // joiner (progress), and the displaced main flow becomes
-            // stealable once the owner batches the inbox onto the
-            // deque — the paper's "another thread steals the main
-            // task".
-            q.queues[worker].inject(u.into());
-            q.park.notify_near(worker);
-        })
-    };
-    let _guard = enter_worker(w, requeue);
+    let _guard = enter_worker(w, inner.clone());
     inner.queues[w].bind();
     let victims = RandomVictim::new(inner.queues.len(), 0x9E3779B9 ^ (w as u64) << 17 | 1);
     let mut backoff = lwt_sync::Backoff::new();
@@ -526,7 +541,9 @@ fn worker_main(inner: &Arc<RtInner>, w: usize) {
                 if idle_since_ns == 0 {
                     idle_since_ns = clock::now_ns();
                 }
-                if inner.stop.load(Ordering::Acquire) {
+                if inner.stop.load(Ordering::Acquire)
+                    && may_exit(&inner.suspended[w], || inner.queues[w].is_empty())
+                {
                     break;
                 }
                 lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);

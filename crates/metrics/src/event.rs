@@ -80,9 +80,9 @@ pub enum EventKind {
     /// woken-while-polling coalesce.
     AsyncWake = 20,
     /// A work unit began waiting for I/O readiness on the reactor
-    /// (`lwt-net`): a ULT entering its readiness relax loop, or an
-    /// async task returning `Pending` with its waker parked in a
-    /// registration slot. `arg`: packed `(token << 1) | direction`
+    /// (`lwt-net`): its waker is parked in a registration slot and
+    /// the unit (ULT, async task or OS thread) is about to suspend.
+    /// `arg`: packed `(token << 1) | direction`
     /// (0 = read, 1 = write).
     IoWait = 21,
     /// The reactor observed readiness for a registration and delivered
@@ -96,8 +96,7 @@ pub enum EventKind {
     /// deadline. `arg`: the absolute wheel tick (ms) it expires at.
     TimerArm = 23,
     /// An armed timer reached its deadline and fired — the entry's
-    /// waiter (parked waker or relax-looping ULT) is about to be
-    /// resumed. Cancelled entries never emit this. `arg`: the wheel
+    /// waiter (the waker registered on it) is about to be resumed. Cancelled entries never emit this. `arg`: the wheel
     /// tick it was armed for.
     TimerFire = 24,
     /// The HTTP server shed load instead of running a handler: the

@@ -93,9 +93,9 @@ pub struct Counters {
     /// Readiness events the reactor driver observed and dispatched
     /// (epoll edges, per direction — one event may cover both).
     pub io_events: Counter,
-    /// I/O readiness deliveries that resumed a waiter: a parked async
-    /// task's waker fired, or a ULT's readiness flag was raised while
-    /// it was in its relax loop. Deliveries with nobody waiting (the
+    /// I/O readiness deliveries that resumed a waiter: the waker a
+    /// suspended ULT, async task or parked thread left in the
+    /// registration fired. Deliveries with nobody waiting (the
     /// optimistic try-first path won) are not counted.
     pub io_wakes: Counter,
     /// Deadlines armed on the timer wheel (`lwt_sched::timer`).

@@ -28,6 +28,7 @@ use std::io;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
+use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
 use lwt_chaos::{should_inject, FaultSite};
@@ -400,9 +401,22 @@ pub struct ServerHandle {
     conns: Arc<SpinLock<Vec<Weak<Registration>>>>,
     active: Arc<AtomicUsize>,
     inflight: Arc<AtomicUsize>,
+    unanswered: Arc<AtomicUsize>,
     stopping: Arc<AtomicBool>,
+    accept_waker: AcceptWaker,
     drain_timeout_ms: u64,
     acceptor: lwt_core::GltHandle<()>,
+}
+
+/// Where the acceptor parks its waker while paused at the connection
+/// cap; whoever frees a slot (or starts the shutdown) fires it.
+type AcceptWaker = Arc<SpinLock<Option<Waker>>>;
+
+fn fire(slot: &AcceptWaker) {
+    let parked = slot.lock().take();
+    if let Some(w) = parked {
+        w.wake();
+    }
 }
 
 impl ServerHandle {
@@ -444,10 +458,11 @@ impl ServerHandle {
     /// converges well before the deadline.
     pub fn shutdown_within(self, grace: Duration) {
         self.stopping.store(true, Ordering::SeqCst);
+        fire(&self.accept_waker);
         (self.listener_stop)();
         self.acceptor.join();
         let deadline = Instant::now() + grace;
-        while self.inflight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+        while self.unanswered.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
             // Polite wait: yield the work unit when called from one,
             // the thread otherwise (shutdown is control-plane code —
             // a relax loop here is fine).
@@ -455,7 +470,7 @@ impl ServerHandle {
                 std::thread::yield_now();
             }
         }
-        if self.inflight.load(Ordering::Acquire) > 0 {
+        if self.unanswered.load(Ordering::Acquire) > 0 {
             lwt_metrics::flightrec::dump("serve_drain_abort");
         }
         for weak in self.conns.lock().drain(..) {
@@ -508,28 +523,43 @@ pub fn serve_config(
     let conns: Arc<SpinLock<Vec<Weak<Registration>>>> = Arc::new(SpinLock::new(Vec::new()));
     let active = Arc::new(AtomicUsize::new(0));
     let inflight = Arc::new(AtomicUsize::new(0));
+    let unanswered = Arc::new(AtomicUsize::new(0));
     let stopping = Arc::new(AtomicBool::new(false));
+    let accept_waker = AcceptWaker::default();
 
     let acceptor = {
         let glt2 = glt.clone();
         let conns = Arc::clone(&conns);
         let active = Arc::clone(&active);
         let inflight = Arc::clone(&inflight);
+        let unanswered = Arc::clone(&unanswered);
         let stopping = Arc::clone(&stopping);
+        let accept_waker = Arc::clone(&accept_waker);
         glt.ult_create(move || loop {
             // Admission, stage 1: at the connection cap, stop calling
             // accept — the kernel backlog absorbs the burst and the
             // load generator sees queueing, not errors. One pause
-            // event per episode, however long it lasts.
-            if config.max_conns > 0 && active.load(Ordering::Acquire) >= config.max_conns {
+            // event per episode, however long it lasts, and the paused
+            // acceptor is suspended, not spinning: it parks its waker
+            // (publish, then re-check) for the connection task that
+            // frees a slot, or the shutdown, to fire.
+            let open = || {
+                active.load(Ordering::Acquire) < config.max_conns
+                    || stopping.load(Ordering::Acquire)
+            };
+            if config.max_conns > 0 && !open() {
                 COUNTERS.accept_pauses.inc();
-                while active.load(Ordering::Acquire) >= config.max_conns
-                    && !stopping.load(Ordering::Acquire)
-                {
-                    if !lwt_core::yield_unit() {
-                        std::thread::yield_now();
+                lwt_core::block_unit_on(|cx| {
+                    if open() {
+                        return Poll::Ready(());
                     }
-                }
+                    *accept_waker.lock() = Some(cx.waker().clone());
+                    if open() {
+                        Poll::Ready(())
+                    } else {
+                        Poll::Pending
+                    }
+                });
                 if stopping.load(Ordering::Acquire) {
                     return;
                 }
@@ -554,17 +584,21 @@ pub fn serve_config(
                     let active = Arc::clone(&active);
                     let handler = Arc::clone(&handler);
                     let inflight = Arc::clone(&inflight);
+                    let unanswered = Arc::clone(&unanswered);
                     let stopping = Arc::clone(&stopping);
+                    let accept_waker = Arc::clone(&accept_waker);
                     drop(glt2.spawn_async(async move {
                         let ctx = ConnCtx {
                             stream: &stream,
                             config: &config,
                             handler: &handler,
                             inflight: &inflight,
+                            unanswered: &unanswered,
                             stopping: &stopping,
                         };
                         let _ = connection_loop(&ctx).await;
                         active.fetch_sub(1, Ordering::Release);
+                        fire(&accept_waker);
                     }));
                 }
                 // NotConnected = shutdown; anything else on a listener
@@ -581,19 +615,31 @@ pub fn serve_config(
         conns,
         active,
         inflight,
+        unanswered,
         stopping,
+        accept_waker,
         drain_timeout_ms: config.drain_timeout_ms,
         acceptor,
     })
 }
 
-/// Holds one in-flight slot from handler entry through the response
-/// write — [`ServerHandle::shutdown_within`]'s drain wait counts the
-/// response bytes as part of the request, so a draining server never
-/// cuts a reply mid-write.
-struct InflightGuard<'a>(&'a AtomicUsize);
+/// Counts a request as unanswered from handler entry through the
+/// response write — [`ServerHandle::shutdown_within`]'s drain wait
+/// counts the response bytes as part of the request, so a draining
+/// server never cuts a reply mid-write. The admission slot
+/// (`inflight`) is narrower: it is given back when the handler
+/// returns, *before* the write, so a client that has read a reply can
+/// rely on the slot that request held being free again.
+struct UnansweredGuard<'a>(&'a AtomicUsize);
 
-impl Drop for InflightGuard<'_> {
+impl<'a> UnansweredGuard<'a> {
+    fn enter(count: &'a AtomicUsize) -> Self {
+        count.fetch_add(1, Ordering::AcqRel);
+        UnansweredGuard(count)
+    }
+}
+
+impl Drop for UnansweredGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
     }
@@ -605,6 +651,7 @@ struct ConnCtx<'a> {
     config: &'a ServerConfig,
     handler: &'a Handler,
     inflight: &'a AtomicUsize,
+    unanswered: &'a AtomicUsize,
     stopping: &'a AtomicBool,
 }
 
@@ -617,9 +664,8 @@ async fn write_final(stream: &TcpStream, resp: &Response) -> io::Result<()> {
     stream.write_all_async(&resp.to_bytes(false)).await?;
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut scratch = [0u8; 1024];
-    let mut linger = TimerGuard::unarmed();
-    linger.arm(1_000);
-    while let Ok(n) = stream.read_async_deadline(&mut scratch, linger.entry()).await {
+    let mut linger = TimerGuard::new(1_000);
+    while let Ok(n) = stream.read_async_deadline(&mut scratch, &mut linger).await {
         if n == 0 {
             break;
         }
@@ -651,13 +697,14 @@ async fn connection_loop(ctx: &ConnCtx<'_>) -> io::Result<()> {
     let cfg = ctx.config;
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
-    // Absolute per-request-head deadline; armed at the first header
-    // byte, cancelled (by replacement) when the head completes.
-    let mut head_timer = TimerGuard::unarmed();
+    // Absolute per-request-head deadline; armed by the first wait for
+    // more header bytes, cancelled (by replacement) when the head
+    // completes.
+    let mut head_timer = TimerGuard::new(cfg.header_timeout_ms);
     loop {
         match parse_request(&buf, &cfg.limits) {
             Parse::Complete(req, consumed) => {
-                head_timer = TimerGuard::unarmed();
+                head_timer = TimerGuard::new(cfg.header_timeout_ms);
                 buf.drain(..consumed);
                 // Drain cooperation: once shutdown starts, answer this
                 // request but tell the client the connection is done.
@@ -684,7 +731,7 @@ async fn connection_loop(ctx: &ConnCtx<'_>) -> io::Result<()> {
                 if cfg.max_inflight == 0 {
                     ctx.inflight.fetch_add(1, Ordering::AcqRel);
                 }
-                let _inflight = InflightGuard(ctx.inflight);
+                let _unanswered = UnansweredGuard::enter(ctx.unanswered);
 
                 // Panic isolation: a panicking handler must cost one
                 // connection, never a worker thread. The hook already
@@ -697,6 +744,7 @@ async fn connection_loop(ctx: &ConnCtx<'_>) -> io::Result<()> {
                     }
                     (ctx.handler)(&req)
                 }));
+                ctx.inflight.fetch_sub(1, Ordering::AcqRel);
                 match result {
                     Ok(resp) => {
                         ctx.stream.write_all_async(&resp.to_bytes(keep)).await?;
@@ -730,13 +778,10 @@ async fn connection_loop(ctx: &ConnCtx<'_>) -> io::Result<()> {
                 let n = if buf.is_empty() {
                     // Between requests: idle deadline; expiry closes
                     // quietly — nothing was asked, nothing is owed.
-                    let mut idle = TimerGuard::unarmed();
-                    if cfg.idle_timeout_ms > 0 {
-                        idle.arm(cfg.idle_timeout_ms);
-                    }
+                    let mut idle = TimerGuard::new(cfg.idle_timeout_ms);
                     match ctx
                         .stream
-                        .read_async_deadline(&mut chunk, idle.entry())
+                        .read_async_deadline(&mut chunk, &mut idle)
                         .await
                     {
                         Ok(n) => n,
@@ -747,12 +792,9 @@ async fn connection_loop(ctx: &ConnCtx<'_>) -> io::Result<()> {
                     // Mid-head: the absolute header deadline (armed
                     // once, spanning every read of this head) expires
                     // into a 408 — the slow-loris answer.
-                    if cfg.header_timeout_ms > 0 {
-                        head_timer.arm(cfg.header_timeout_ms);
-                    }
                     match ctx
                         .stream
-                        .read_async_deadline(&mut chunk, head_timer.entry())
+                        .read_async_deadline(&mut chunk, &mut head_timer)
                         .await
                     {
                         Ok(n) => n,

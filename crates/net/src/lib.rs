@@ -8,13 +8,15 @@
 //! crate removes that mismatch for TCP:
 //!
 //! * [`TcpListener`] / [`TcpStream`] are nonblocking sockets whose
-//!   operations **suspend the calling work unit**, not the worker. A
-//!   stackful ULT (`Glt::ult_create`) relax-loops on a readiness flag,
-//!   yielding its worker to other units — the same wait discipline as
-//!   `lwt_sync::Event`, watchdog-registered. An async task
-//!   (`Glt::spawn_async`) parks its waker and returns `Poll::Pending`;
-//!   the reactor rewakes it through the task-cell waker, which
-//!   re-enqueues via the backend's `post_task` and `ParkGroup` notify.
+//!   operations **suspend the calling work unit**, not the worker,
+//!   through one wait path: park a waker on the reactor, re-check,
+//!   suspend. An async task (`Glt::spawn_async`) returns
+//!   `Poll::Pending` and is rewoken through its task-cell waker; a
+//!   stackful ULT (`Glt::ult_create`) runs the same poll under
+//!   `lwt_core::block_unit_on`, which takes it off every queue until
+//!   its waker requeues it through the backend's hook (a plain OS
+//!   thread parks). A blocked unit costs its worker nothing — the
+//!   paper's `CthSuspend`/`ABT_self_suspend` promise, kept for I/O.
 //! * A process-global **edge-triggered epoll reactor** (one driver
 //!   thread + idle-worker polls through the `lwt_sched::io_poll`
 //!   hook) turns kernel readiness into those wakes. Contract:

@@ -14,13 +14,16 @@
 //!   paths attempt the syscall optimistically and only fall back to
 //!   waiting after observing `WouldBlock` (see `Registration::
 //!   clear_ready` for the re-check that closes the clear/edge race).
-//! * **Dual wait path.** A stackful ULT waits by relax-looping on the
-//!   `ready` flag — yielding its worker to other units via
-//!   `lwt_core::yield_unit`, registered with the stall watchdog, the
-//!   same discipline as `lwt_sync::Event::wait`. An async task parks
-//!   its waker in the registration and returns `Pending`; the driver's
-//!   `wake()` re-enqueues it through the `TaskCell` → `post_task` →
-//!   `ParkGroup::notify` chain the async bridge already guarantees.
+//! * **One wait path.** Every waiter parks a `Waker` in the
+//!   registration and suspends — publish waker → re-check flag →
+//!   suspend ([`Registration::poll_ready_deadline`], the only
+//!   readiness wait in the crate). An async task returns `Pending`
+//!   and is re-enqueued through `TaskCell` → `post_task`; a stackful
+//!   ULT or an OS thread gets the same function through
+//!   `lwt_core::block_unit_on`, whose waker awakens the suspended ULT
+//!   through its runtime's requeue hook (or unparks the thread). Either
+//!   way the push ends in `ParkGroup::notify`, and a blocked unit costs
+//!   its worker nothing.
 //! * **Two pollers, one epoll set.** A dedicated driver thread blocks
 //!   in `epoll_wait`, and idle workers poll the same set with a zero
 //!   timeout through the `lwt_sched::io_poll` hook (behind a try-lock)
@@ -47,7 +50,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
-use lwt_chaos::{block_enter, should_inject, BlockKind, FaultSite};
+use lwt_chaos::{should_inject, FaultSite};
 use lwt_metrics::{emit, EventKind, COUNTERS};
 use lwt_sched::{TimerEntry, TimerWheel};
 use lwt_sync::SpinLock;
@@ -69,14 +72,6 @@ pub(crate) enum Dir {
 const READ_EVENTS: u32 = sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLERR | sys::EPOLLHUP;
 const WRITE_EVENTS: u32 = sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP;
 
-/// Relax rounds before a ULT readiness wait gives up and lets the
-/// caller retry its syscall anyway. This is the defense-in-depth
-/// backstop against a spurious kernel edge consumed without a flag
-/// having been raised (DESIGN.md §15 "degradation"): with
-/// `AdaptiveRelax`'s 50µs naps this is roughly 80ms of patience per
-/// round trip, the same order as `ParkGroup`'s park backstop.
-const ULT_WAIT_BACKSTOP_ROUNDS: u32 = 2048;
-
 /// One registered socket: the token-addressed rendezvous between the
 /// driver (producer of readiness) and at most one waiter per
 /// direction (consumer).
@@ -92,8 +87,9 @@ struct DirState {
     /// "The kernel has reported an edge not yet consumed by a
     /// `WouldBlock`." Starts true: try the syscall before waiting.
     ready: AtomicBool,
-    /// Parked async waiter, if any. ULT waiters don't park here — they
-    /// relax-loop on `ready` directly.
+    /// The parked waiter, if any: an async task's waker, a suspended
+    /// ULT's, or a parked OS thread's — the driver cannot tell and
+    /// does not care.
     waker: SpinLock<Option<Waker>>,
 }
 
@@ -128,8 +124,9 @@ impl Registration {
         }
     }
 
-    /// `IoWait`/`IoReady` event payload: `(token << 1) | direction`.
-    fn wait_arg(&self, dir: Dir) -> u64 {
+    /// `IoWait`/`IoReady` event payload (and watchdog token):
+    /// `(token << 1) | direction`.
+    pub(crate) fn wait_arg(&self, dir: Dir) -> u64 {
         (self.token << 1) | dir as u64
     }
 
@@ -159,63 +156,17 @@ impl Registration {
         st.ready.load(Ordering::Acquire)
     }
 
-    /// ULT / external-thread wait: relax until the direction is ready
-    /// (or the registration closes, the backstop trips, or the
-    /// optional armed `deadline` entry fires — the latter giving up
-    /// with `TimedOut`). The relax yields the calling work unit when
-    /// there is one, so the worker keeps running other units — the
-    /// whole point of the reactor. The fired flag is checked every
-    /// relax round — the waiter does not depend on any wake delivery
-    /// beyond the flag flip, so a timeout can never be slept through.
-    pub(crate) fn wait_ult_deadline(
-        &self,
-        dir: Dir,
-        deadline: Option<&TimerEntry>,
-    ) -> std::io::Result<()> {
-        let st = self.dir(dir);
-        if st.ready.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        emit(EventKind::IoWait, self.wait_arg(dir));
-        COUNTERS.feb_blocks.inc(); // I/O parking rides the FEB wait discipline.
-        let _guard = block_enter(BlockKind::Io, self.wait_arg(dir));
-        let mut relax = lwt_sync::AdaptiveRelax::new();
-        let mut rounds: u32 = 0;
-        loop {
-            if self.is_closed() {
-                return Err(closed_error());
-            }
-            if st.ready.load(Ordering::Acquire) {
-                COUNTERS.io_wakes.inc();
-                COUNTERS.feb_wakes.inc();
-                return Ok(());
-            }
-            if let Some(timer) = deadline {
-                if timer.has_fired() {
-                    COUNTERS.io_timeouts.inc();
-                    return Err(timeout_error());
-                }
-            }
-            if rounds >= ULT_WAIT_BACKSTOP_ROUNDS {
-                // Spurious return; the caller's retry loop re-issues
-                // the syscall and comes back here if still dry.
-                return Ok(());
-            }
-            rounds += 1;
-            lwt_core::yield_unit();
-            relax.relax();
-        }
-    }
-
-    /// Async wait: park the waker and report `Pending` unless the
-    /// direction is (or concurrently became) ready. The park/re-check
-    /// order closes the lost-wake race: the waker is published
-    /// *before* the final flag read, and the driver raises the flag
-    /// *before* taking the waker, so at least one side always sees the
-    /// other.
+    /// The readiness wait, for every kind of waiter: park the waker
+    /// and report `Pending` unless the direction is (or concurrently
+    /// became) ready. The park/re-check order closes the lost-wake
+    /// race: the waker is published *before* the final flag read, and
+    /// the driver raises the flag *before* taking the waker, so at
+    /// least one side always sees the other. What `Pending` then means
+    /// is the caller's business — an async task returns it to its
+    /// executor, `lwt_core::block_unit_on` suspends the ULT or thread.
     /// A fired `deadline` entry resolves the poll to `TimedOut`; a
-    /// still-armed one gets the task's waker parked on it as well, so
-    /// the wheel's fire re-polls the task just like an I/O edge would.
+    /// still-armed one gets the waker parked on it as well, so the
+    /// wheel's fire re-polls the waiter just like an I/O edge would.
     pub(crate) fn poll_ready_deadline(
         &self,
         dir: Dir,
@@ -271,7 +222,7 @@ pub(crate) fn closed_error() -> std::io::Error {
     )
 }
 
-pub(crate) fn timeout_error() -> std::io::Error {
+fn timeout_error() -> std::io::Error {
     std::io::Error::new(
         std::io::ErrorKind::TimedOut,
         "lwt-net: I/O deadline elapsed",

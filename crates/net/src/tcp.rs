@@ -3,12 +3,14 @@
 //!
 //! Both types follow the same discipline (DESIGN.md §15): the socket
 //! lives in nonblocking mode from birth, every operation is tried
-//! optimistically, and a `WouldBlock` routes the caller onto the
-//! reactor — a stackful ULT relax-loops (yielding its worker to other
-//! units), an async task parks its waker and returns `Pending`. The
-//! same `TcpStream` therefore serves both spawn paths of the GLT API:
-//! `Glt::ult_create` closures call the plain methods, `Glt::
-//! spawn_async` futures call the `*_async` methods.
+//! optimistically, and a `WouldBlock` parks the caller's waker on the
+//! reactor and suspends the caller — an async task returns `Pending`,
+//! a stackful ULT is taken off every queue, a plain thread parks. It
+//! is one code path ([`poll_op`]); the plain methods are that poll
+//! driven by `lwt_core::block_unit_on`. The same `TcpStream` therefore
+//! serves both spawn paths of the GLT API: `Glt::ult_create` closures
+//! call the plain methods, `Glt::spawn_async` futures call the
+//! `*_async` methods.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{self, SocketAddr, ToSocketAddrs};
@@ -18,43 +20,49 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use lwt_chaos::{should_inject, FaultSite};
-use lwt_metrics::COUNTERS;
+use lwt_chaos::{block_enter, should_inject, BlockKind, FaultSite};
 use lwt_sched::TimerEntry;
 
-use crate::reactor::{closed_error, reactor, timeout_error, Dir, Registration};
+use crate::reactor::{closed_error, reactor, Dir, Registration};
 
 fn would_block() -> io::Error {
     io::Error::new(io::ErrorKind::WouldBlock, "lwt-chaos: injected EAGAIN")
 }
 
-/// An armed wheel entry that cancels itself when the guarded I/O op
-/// finishes first — the overwhelmingly common case. Cancelling a
-/// fired or already-cancelled entry is a harmless no-op.
-pub(crate) struct TimerGuard(Option<Arc<TimerEntry>>);
+/// The deadline of one logical I/O op: `delay_ms` from the op's first
+/// *wait* (0 = none). Armed lazily — an op that finds its socket ready
+/// never touches the wheel, on either spawn path — and at most once:
+/// the entry covers the whole op, not each retry (the HTTP server
+/// leans on this for its absolute header deadline, passing one guard
+/// across every read of a request head). Dropping the guard cancels
+/// the entry, the overwhelmingly common case; cancelling a fired
+/// entry is a harmless no-op.
+pub(crate) struct TimerGuard {
+    delay_ms: u64,
+    entry: Option<Arc<TimerEntry>>,
+}
 
 impl TimerGuard {
-    pub(crate) fn unarmed() -> TimerGuard {
-        TimerGuard(None)
+    pub(crate) fn new(delay_ms: u64) -> TimerGuard {
+        TimerGuard {
+            delay_ms,
+            entry: None,
+        }
     }
 
-    /// Arm `delay_ms` from now on first call; later calls return the
-    /// same entry (the deadline covers the whole op, not each retry —
-    /// the HTTP server leans on this for its absolute header
-    /// deadline, re-calling `arm` across reads of one request head).
-    pub(crate) fn arm(&mut self, delay_ms: u64) -> &TimerEntry {
-        self.0
-            .get_or_insert_with(|| reactor().arm_timer_ms(delay_ms))
-    }
-
-    pub(crate) fn entry(&self) -> Option<&TimerEntry> {
-        self.0.as_deref()
+    /// The armed entry, arming it on first call; `None` when the op
+    /// has no deadline.
+    fn armed(&mut self) -> Option<&TimerEntry> {
+        if self.entry.is_none() && self.delay_ms > 0 {
+            self.entry = Some(reactor().arm_timer_ms(self.delay_ms));
+        }
+        self.entry.as_deref()
     }
 }
 
 impl Drop for TimerGuard {
     fn drop(&mut self) {
-        if let Some(t) = &self.0 {
+        if let Some(t) = &self.entry {
             t.cancel();
         }
     }
@@ -73,16 +81,6 @@ fn ms_to_timeout(ms: u64) -> Option<Duration> {
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
-/// Per-op timer for the async wrappers: armed up front when a timeout
-/// is configured (the future owns it across polls), unarmed otherwise.
-fn op_timer(ms: u64) -> TimerGuard {
-    let mut timer = TimerGuard::unarmed();
-    if ms > 0 {
-        timer.arm(ms);
-    }
-    timer
-}
-
 /// Injected short write: cut the buffer to a nonempty prefix, exactly
 /// as a full kernel send buffer would.
 fn chaos_cut(len: usize) -> usize {
@@ -93,28 +91,43 @@ fn chaos_cut(len: usize) -> usize {
     }
 }
 
-/// Synchronous (ULT / external thread) retry loop: try `op`, consume
-/// the readiness edge on `WouldBlock`, wait, repeat. See DESIGN.md §15
-/// for why the clear is followed by one immediate retry. A nonzero
-/// `timeout_ms` arms a wheel deadline on the *first* `WouldBlock` —
-/// the ready fast path never touches the wheel — after which the op
-/// fails with `TimedOut` once the wheel fires it.
+/// Synchronous flavor of [`poll_op`] for ULTs and plain threads: the
+/// same poll, driven by `lwt_core::block_unit_on`, which suspends the
+/// calling unit (not its worker) on every `Pending` until the waker
+/// parked by the poll fires — readiness, deadline or close alike. A
+/// wait that actually suspends registers with the stall watchdog.
 fn sync_op<T>(
     reg: &Registration,
     dir: Dir,
     timeout_ms: u64,
     mut op: impl FnMut() -> io::Result<T>,
 ) -> io::Result<T> {
-    let mut timer = TimerGuard::unarmed();
+    let mut timer = TimerGuard::new(timeout_ms);
+    let mut watch = None;
+    lwt_core::block_unit_on(|cx| {
+        let polled = poll_op(reg, dir, cx, &mut timer, &mut op);
+        if polled.is_pending() && watch.is_none() {
+            watch = block_enter(BlockKind::Io, reg.wait_arg(dir));
+        }
+        polled
+    })
+}
+
+/// The retry loop behind every socket operation: try `op`, consume the
+/// readiness edge on `WouldBlock`, wait for the next one, repeat. See
+/// DESIGN.md §15 for why the clear is followed by one immediate retry.
+/// The `timer` is owned by the caller (it must span every poll of one
+/// logical op, so it cannot live here) and is armed by the first wait.
+fn poll_op<T>(
+    reg: &Registration,
+    dir: Dir,
+    cx: &mut Context<'_>,
+    timer: &mut TimerGuard,
+    mut op: impl FnMut() -> io::Result<T>,
+) -> Poll<io::Result<T>> {
     loop {
         if reg.is_closed() {
-            return Err(closed_error());
-        }
-        if let Some(t) = timer.entry() {
-            if t.has_fired() {
-                COUNTERS.io_timeouts.inc();
-                return Err(timeout_error());
-            }
+            return Poll::Ready(Err(closed_error()));
         }
         let injected = should_inject(FaultSite::NetSpuriousEagain);
         let first = if injected { Err(would_block()) } else { op() };
@@ -129,50 +142,12 @@ fn sync_op<T>(
                     }
                     match op() {
                         Err(e2) if e2.kind() == io::ErrorKind::WouldBlock => {}
-                        done => return done,
-                    }
-                }
-                if timeout_ms > 0 {
-                    timer.arm(timeout_ms);
-                }
-                // Injected EAGAINs leave the ready flag up, so this
-                // wait returns immediately: a delay, never a stall.
-                reg.wait_ult_deadline(dir, timer.entry())?;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            done => return done,
-        }
-    }
-}
-
-/// Async retry loop: the poll-flavored twin of [`sync_op`]. The
-/// optional `deadline` is owned by the calling future (it must span
-/// every poll of one logical op, so it cannot live here).
-fn poll_op<T>(
-    reg: &Registration,
-    dir: Dir,
-    cx: &mut Context<'_>,
-    deadline: Option<&TimerEntry>,
-    mut op: impl FnMut() -> io::Result<T>,
-) -> Poll<io::Result<T>> {
-    loop {
-        if reg.is_closed() {
-            return Poll::Ready(Err(closed_error()));
-        }
-        let injected = should_inject(FaultSite::NetSpuriousEagain);
-        let first = if injected { Err(would_block()) } else { op() };
-        match first {
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if !injected {
-                    if reg.clear_ready(dir) {
-                        continue;
-                    }
-                    match op() {
-                        Err(e2) if e2.kind() == io::ErrorKind::WouldBlock => {}
                         done => return Poll::Ready(done),
                     }
                 }
-                match reg.poll_ready_deadline(dir, cx, deadline) {
+                // Injected EAGAINs leave the ready flag up, so this
+                // wait returns immediately: a delay, never a stall.
+                match reg.poll_ready_deadline(dir, cx, timer.armed()) {
                     Poll::Ready(Ok(())) => {}
                     Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
                     Poll::Pending => return Poll::Pending,
@@ -259,7 +234,8 @@ impl TcpListener {
     /// Poll-flavored [`accept`](Self::accept) for manual future
     /// implementations.
     pub fn poll_accept(&self, cx: &mut Context<'_>) -> Poll<io::Result<(TcpStream, SocketAddr)>> {
-        match poll_op(&self.reg, Dir::Read, cx, None, || self.inner.accept()) {
+        let mut no_deadline = TimerGuard::new(0);
+        match poll_op(&self.reg, Dir::Read, cx, &mut no_deadline, || self.inner.accept()) {
             Poll::Ready(Ok((stream, peer))) => {
                 Poll::Ready(TcpStream::from_std(stream).map(|s| (s, peer)))
             }
@@ -314,8 +290,9 @@ impl std::fmt::Debug for TcpListener {
 /// the op fails with `ErrorKind::TimedOut` and the socket stays
 /// usable. Composite helpers (`read_exact`, `write_all`) apply the
 /// timeout per underlying op, so their total wall time is bounded by
-/// `timeout × chunks`, matching `std::net` semantics. The fast path
-/// (data already available) never touches the wheel.
+/// `timeout × chunks`, matching `std::net` semantics. The deadline
+/// runs from the op's first wait: the fast path (data already
+/// available) never touches the wheel.
 pub struct TcpStream {
     inner: net::TcpStream,
     reg: Arc<Registration>,
@@ -427,60 +404,58 @@ impl TcpStream {
     /// Poll-flavored [`read`](Self::read). Poll methods carry no
     /// deadline — a per-poll call cannot own the wheel entry that must
     /// span the whole logical op. Manual futures that want one should
-    /// hold a [`TimerGuard`]-style armed entry themselves; the `async`
+    /// hold a [`TimerGuard`]-style entry themselves; the `async`
     /// wrappers below do exactly that.
     pub fn poll_read(&self, cx: &mut Context<'_>, buf: &mut [u8]) -> Poll<io::Result<usize>> {
-        self.poll_read_deadline(cx, buf, None)
+        self.poll_read_deadline(cx, buf, &mut TimerGuard::new(0))
     }
 
     /// Poll-flavored [`write`](Self::write) (same short-write caveat).
     pub fn poll_write(&self, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-        self.poll_write_deadline(cx, buf, None)
+        self.poll_write_deadline(cx, buf, &mut TimerGuard::new(0))
     }
 
-    /// [`poll_read`](Self::poll_read) bounded by an armed wheel entry
-    /// owned by the caller (it must span every poll of the op).
-    pub(crate) fn poll_read_deadline(
+    /// [`poll_read`](Self::poll_read) bounded by a deadline owned by
+    /// the caller (it must span every poll of the op).
+    fn poll_read_deadline(
         &self,
         cx: &mut Context<'_>,
         buf: &mut [u8],
-        deadline: Option<&TimerEntry>,
+        timer: &mut TimerGuard,
     ) -> Poll<io::Result<usize>> {
-        poll_op(&self.reg, Dir::Read, cx, deadline, || {
-            (&self.inner).read(buf)
-        })
+        poll_op(&self.reg, Dir::Read, cx, timer, || (&self.inner).read(buf))
     }
 
     /// [`poll_write`](Self::poll_write) with a caller-owned deadline.
-    pub(crate) fn poll_write_deadline(
+    fn poll_write_deadline(
         &self,
         cx: &mut Context<'_>,
         buf: &[u8],
-        deadline: Option<&TimerEntry>,
+        timer: &mut TimerGuard,
     ) -> Poll<io::Result<usize>> {
-        poll_op(&self.reg, Dir::Write, cx, deadline, || {
+        poll_op(&self.reg, Dir::Write, cx, timer, || {
             (&self.inner).write(&buf[..chaos_cut(buf.len())])
         })
     }
 
     /// Async [`read`](Self::read) for `spawn_async` tasks — bounded by
-    /// the configured read timeout, if any (the future owns the armed
-    /// entry for the duration of the op; dropping the future cancels
-    /// it).
+    /// the configured read timeout, if any (the future owns the
+    /// deadline for the duration of the op; dropping the future
+    /// cancels it).
     pub async fn read_async(&self, buf: &mut [u8]) -> io::Result<usize> {
-        let timer = op_timer(self.read_timeout_ms.load(Ordering::Relaxed));
-        std::future::poll_fn(move |cx| self.poll_read_deadline(cx, &mut *buf, timer.entry())).await
+        let mut timer = TimerGuard::new(self.read_timeout_ms.load(Ordering::Relaxed));
+        self.read_async_deadline(buf, &mut timer).await
     }
 
     /// [`read_async`](Self::read_async) bounded by a caller-owned
-    /// armed entry *instead of* the stream's own read timeout — the
-    /// HTTP server's absolute header/idle deadlines use this.
+    /// deadline *instead of* the stream's own read timeout — the HTTP
+    /// server's absolute header/idle deadlines use this.
     pub(crate) async fn read_async_deadline(
         &self,
         buf: &mut [u8],
-        deadline: Option<&TimerEntry>,
+        timer: &mut TimerGuard,
     ) -> io::Result<usize> {
-        std::future::poll_fn(move |cx| self.poll_read_deadline(cx, &mut *buf, deadline)).await
+        std::future::poll_fn(move |cx| self.poll_read_deadline(cx, &mut *buf, &mut *timer)).await
     }
 
     /// Async [`read_exact`](Self::read_exact).
@@ -503,8 +478,8 @@ impl TcpStream {
     /// Async [`write`](Self::write) (short writes possible) — bounded
     /// by the configured write timeout, if any.
     pub async fn write_async(&self, buf: &[u8]) -> io::Result<usize> {
-        let timer = op_timer(self.write_timeout_ms.load(Ordering::Relaxed));
-        std::future::poll_fn(move |cx| self.poll_write_deadline(cx, buf, timer.entry())).await
+        let mut timer = TimerGuard::new(self.write_timeout_ms.load(Ordering::Relaxed));
+        std::future::poll_fn(move |cx| self.poll_write_deadline(cx, buf, &mut timer)).await
     }
 
     /// Async [`write_all`](Self::write_all).

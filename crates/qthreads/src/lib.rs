@@ -42,7 +42,7 @@ pub mod qutil;
 pub mod structures;
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
@@ -51,8 +51,8 @@ use lwt_metrics::EventKind;
 use lwt_sched::{ParkGroup, ReadyQueue, RoundRobin};
 use lwt_sync::{FebCell, FebTable, SpinLock};
 use lwt_ultcore::{
-    enter_worker, join_within, run_unit, wait_until, DrainError, PollTask, ReadyUnit, Requeue,
-    ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    enter_worker, join_within, may_exit, run_unit, suspended_stragglers, wait_until, DrainError,
+    PollTask, ReadyUnit, Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
 };
 
 pub use lwt_sync::FebTable as Feb;
@@ -84,6 +84,8 @@ struct RtInner {
     /// is realised as its workers' queues plus same-shepherd stealing,
     /// so work still never leaves its locality domain.
     queues: Vec<ReadyQueue<ReadyUnit>>,
+    /// ULTs suspended on each worker ([`Requeue::suspended`]).
+    suspended: Vec<AtomicUsize>,
     /// Shepherd id → the global worker ids it owns.
     shepherd_workers: Vec<Vec<usize>>,
     /// Per-shepherd round-robin for external dispatch into it.
@@ -210,6 +212,7 @@ impl Runtime {
         }
         let inner = Arc::new(RtInner {
             queues: (0..worker_shepherd.len()).map(|_| ReadyQueue::new()).collect(),
+            suspended: (0..worker_shepherd.len()).map(|_| AtomicUsize::new(0)).collect(),
             shepherd_workers,
             shepherd_rr: (0..config.num_shepherds)
                 .map(|_| RoundRobin::new(config.workers_per_shepherd))
@@ -526,6 +529,7 @@ impl Runtime {
                     pending: q.len(),
                     what: "shepherd ready queue",
                 })
+                .chain(suspended_stragglers(&self.inner.suspended))
                 .collect();
             Err(DrainError {
                 waited: deadline,
@@ -558,17 +562,29 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-fn worker_main(inner: &Arc<RtInner>, worker_id: usize, shep: usize) {
-    let requeue: Arc<dyn Requeue> = {
-        let q = inner.clone();
+impl Requeue for RtInner {
+    fn requeue(&self, w: usize, u: Arc<UltCore>) {
         // Yielded ULTs go to the *back* of their worker's queue (the
         // inbox) so forked children run before a yield-looping joiner.
-        Arc::new(move |w: usize, u: Arc<UltCore>| {
-            q.queues[w].inject(u.into());
-            q.park.notify_near(w);
-        })
-    };
-    let _guard = enter_worker(worker_id, requeue);
+        self.queues[w].inject(u.into());
+        self.park.notify_near(w);
+    }
+
+    fn wake(&self, w: usize, u: Arc<UltCore>) {
+        // Fired from another thread (reactor, timer): the shared lane,
+        // which sibling workers can reach even while this one is tied
+        // up.
+        self.queues[w].push_shared(u.into());
+        self.park.notify_near(w);
+    }
+
+    fn suspended(&self, w: usize) -> Option<&AtomicUsize> {
+        Some(&self.suspended[w])
+    }
+}
+
+fn worker_main(inner: &Arc<RtInner>, worker_id: usize, shep: usize) {
+    let _guard = enter_worker(worker_id, inner.clone());
     inner.queues[worker_id].bind();
     // Stealing stays within the shepherd: work never leaves its
     // locality domain (the hierarchy the paper's Table I highlights).
@@ -605,7 +621,11 @@ fn worker_main(inner: &Arc<RtInner>, worker_id: usize, shep: usize) {
                 run_unit(&u);
             }
             None => {
-                if inner.stop.load(Ordering::Acquire) {
+                if inner.stop.load(Ordering::Acquire)
+                    && may_exit(&inner.suspended[worker_id], || {
+                        inner.queues[worker_id].is_empty()
+                    })
+                {
                     break;
                 }
                 lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);

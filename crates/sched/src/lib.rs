@@ -38,6 +38,11 @@
 //!   lifecycle of a stackless future task, giving every backend's
 //!   async bridge the same no-lost-wake guarantee (model-checked in
 //!   `crates/model/tests/waker.rs`).
+//! * [`UnitPark`] — the one-word suspend/awaken handshake of a
+//!   stackful unit (`CthSuspend`/`CthAwaken`,
+//!   `ABT_self_suspend`/`ABT_thread_resume`), shared by `lwt-ultcore`
+//!   and `lwt-argobots` (model-checked in
+//!   `crates/model/tests/unitpark.rs`).
 //! * [`io_poll`] / [`set_io_poll`] — the reactor idle-poll seam: the
 //!   I/O reactor (`lwt-net`) registers a non-blocking poll hook that
 //!   every backend calls when a steal sweep comes up dry, so readiness
@@ -45,8 +50,8 @@
 //! * [`TimerWheel`] — the hierarchical timer wheel behind every
 //!   deadline in the serving stack (TCP read/write deadlines, HTTP
 //!   idle/header timeouts, graceful-drain deadlines). The reactor
-//!   driver advances it; both ULT relax loops and async task wakers
-//!   can be armed on a [`TimerEntry`].
+//!   driver advances it; a waiter — suspended ULT, async task or
+//!   parked OS thread alike — registers its waker on a [`TimerEntry`].
 
 #![warn(missing_docs)]
 
@@ -74,6 +79,6 @@ pub use private::PrivateDeque;
 pub use ready::{ReadyQueue, FAIRNESS};
 pub use shared::SharedQueue;
 pub use stealable::StealableDeque;
-pub use task::{TaskState, WakeAction};
+pub use task::{TaskState, UnitPark, WakeAction};
 pub use timer::{TimerEntry, TimerWheel, LEVELS, SLOTS};
 pub use victim::{near_first, RandomVictim, RoundRobin};

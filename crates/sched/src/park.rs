@@ -42,7 +42,8 @@
 //!   bounded nap, for latency-critical runs that own their cores.
 //! * `passive` — sleep as soon as the caller's backoff is exhausted.
 //! * `adaptive` (default) — yield the OS thread for a short grace
-//!   window (re-checking for work each round), then sleep.
+//!   window (re-checking for work, and polling the I/O reactor, each
+//!   round), then sleep.
 //!
 //! Sleeps use a generous backstop timeout as defense in depth: even if
 //! a wake were lost, the worker re-sweeps within the backstop instead
@@ -282,9 +283,13 @@ impl ParkGroup {
         if policy == WaitPolicy::Adaptive {
             // Grace window: cheap yields with re-checks, so brief gaps
             // between work units never pay a sleep/wake round trip.
+            // The reactor is polled too: with blocked units suspended
+            // instead of spinning, an idle-but-awake worker is the
+            // common state of a serving pool, and readiness it
+            // collects here skips the driver-thread hop entirely.
             for _ in 0..ADAPTIVE_GRACE_YIELDS {
                 crate::sysapi::yield_thread();
-                if pending() > 0 {
+                if crate::io_poll() > 0 || pending() > 0 {
                     self.exit_idle(slot);
                     return ParkResult::FoundWork;
                 }

@@ -14,6 +14,13 @@
 //!   code never has to know where it is running.
 //! * **Thieves** steal from the deque's top (the oldest entry) via
 //!   [`ReadyQueue::steal_once`].
+//! * **Wakers on foreign threads** — the I/O reactor or a timer
+//!   resuming a suspended unit — use [`ReadyQueue::push_shared`]: a
+//!   small locked lane that the owner *and* thieves both drain. The
+//!   inbox has a single consumer, so a woken unit parked there would
+//!   be stranded for as long as its owner is stuck inside one long
+//!   unit; the yield-looping wait this replaced kept such a unit in
+//!   the deque, where an idle worker could steal it.
 //!
 //! ## Fairness
 //!
@@ -34,10 +41,12 @@
 //! always-safe paths (inject on push, steal on pop), so the deque's
 //! single-owner invariant holds no matter who holds a reference.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use lwt_metrics::registry::{emit, COUNTERS};
 use lwt_metrics::EventKind;
+use lwt_sync::SpinLock;
 
 use crate::chase_lev::{ChaseLev, Steal, Stealer, Worker};
 use crate::injector::Injector;
@@ -78,6 +87,10 @@ pub struct ReadyQueue<T: Send> {
     mirror: Stealer<T>,
     /// Cross-thread submissions.
     inbox: Injector<T>,
+    /// Cross-thread submissions any worker may take (resumed units).
+    shared: SpinLock<VecDeque<T>>,
+    /// Length of `shared`, so the common empty case costs one load.
+    shared_len: AtomicUsize,
     /// Owner pop counter driving the fairness policy (owner-only).
     tick: AtomicU64,
 }
@@ -98,6 +111,8 @@ impl<T: Send> ReadyQueue<T> {
             local,
             mirror,
             inbox: Injector::new(),
+            shared: SpinLock::new(VecDeque::new()),
+            shared_len: AtomicUsize::new(0),
             tick: AtomicU64::new(0),
         }
     }
@@ -130,24 +145,53 @@ impl<T: Send> ReadyQueue<T> {
         self.inbox.push(value);
     }
 
+    /// Submit work that must stay reachable by *every* worker: the
+    /// owner pushes onto its deque (already stealable), any other
+    /// thread onto the shared lane. For units resumed by a waker.
+    pub fn push_shared(&self, value: T) {
+        if self.is_owner() {
+            self.local.push(value);
+        } else {
+            let mut lane = self.shared.lock();
+            lane.push_back(value);
+            self.shared_len.store(lane.len(), Ordering::Release);
+        }
+    }
+
+    fn take_shared(&self) -> Option<T> {
+        if self.shared_len.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut lane = self.shared.lock();
+        let value = lane.pop_front();
+        self.shared_len.store(lane.len(), Ordering::Release);
+        value
+    }
+
     /// Owner dequeue. LIFO from the deque with a periodic fairness
-    /// pass over the inbox and the deque's old end; falls back to the
-    /// inbox when the deque is dry. Non-owner callers degrade to
-    /// [`Self::steal`].
+    /// pass over the shared lane, the inbox and the deque's old end;
+    /// falls back to the shared lane and the inbox when the deque is
+    /// dry. Non-owner callers degrade to [`Self::steal`].
     pub fn pop(&self) -> Option<T> {
         if !self.is_owner() {
             return self.steal();
         }
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         if tick % FAIRNESS == FAIRNESS - 1 {
-            if let Some(v) = self.take_inbox() {
+            if let Some(v) = self.take_shared().or_else(|| self.take_inbox()) {
                 return Some(v);
             }
             if let Steal::Success(v) = self.mirror.steal_once() {
                 return Some(v);
             }
         }
-        self.local.pop().or_else(|| self.take_inbox())
+        // Shared lane before inbox: each entry there answers one
+        // external event, so it cannot starve the inbox — whereas a
+        // unit yield-looping through the inbox would starve the lane.
+        self.local
+            .pop()
+            .or_else(|| self.take_shared())
+            .or_else(|| self.take_inbox())
     }
 
     /// Pop one inbox item and expose a batch of follow-ons to thieves
@@ -191,32 +235,35 @@ impl<T: Send> ReadyQueue<T> {
     /// active owner who will drain it. Unbounded retry was the
     /// idle-spin bug: a thief could pin a CPU at 100% against a
     /// pathological victim without ever acquiring work. Note: thieves
-    /// cannot see the inbox (it has a single consumer — the owner).
+    /// cannot see the inbox (it has a single consumer — the owner);
+    /// an empty deque sends them to the shared lane instead.
     pub fn steal(&self) -> Option<T> {
         const MAX_RETRIES: usize = 32;
         for _ in 0..MAX_RETRIES {
             match self.steal_once() {
                 Steal::Success(v) => return Some(v),
-                Steal::Empty => return None,
+                Steal::Empty => return self.take_shared(),
                 Steal::Retry => std::hint::spin_loop(),
             }
         }
         None
     }
 
-    /// Approximate total occupancy (deque + inbox); racy diagnostics.
+    /// Approximate total occupancy (deque + inbox + shared lane);
+    /// racy diagnostics.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.local.len() + self.inbox.len()
+        self.stealable_len() + self.inbox.len()
     }
 
-    /// Occupancy a *thief* could reach — the deque only; the inbox has
-    /// a single consumer (the owner). Pre-park emptiness re-checks sum
-    /// this over the victims instead of [`Self::len`], so an inbox item
-    /// only its (busy) owner can take never spuriously aborts a park.
+    /// Occupancy a *thief* could reach — the deque and the shared
+    /// lane; the inbox has a single consumer (the owner). Pre-park
+    /// emptiness re-checks sum this over the victims instead of
+    /// [`Self::len`], so an inbox item only its (busy) owner can take
+    /// never spuriously aborts a park.
     #[must_use]
     pub fn stealable_len(&self) -> usize {
-        self.local.len()
+        self.local.len() + self.shared_len.load(Ordering::Acquire)
     }
 
     /// Whether the queue looks empty (same caveat as [`Self::len`]).
@@ -328,6 +375,28 @@ mod tests {
             std::thread::spawn(move || q.steal())
         };
         assert!(thief.join().unwrap().is_some(), "thief must see batch");
+    }
+
+    #[test]
+    fn shared_lane_reaches_thieves_while_the_inbox_does_not() {
+        let q = Arc::new(ReadyQueue::new());
+        q.bind();
+        let q2 = Arc::clone(&q);
+        std::thread::spawn(move || {
+            q2.inject("inbox");
+            q2.push_shared("shared");
+            assert_eq!(q2.stealable_len(), 1);
+            // The owner is busy elsewhere: a thief still gets the
+            // resumed unit, and only that.
+            assert_eq!(q2.steal(), Some("shared"));
+            assert_eq!(q2.steal(), None);
+            q2.push_shared("again");
+        })
+        .join()
+        .unwrap();
+        assert_eq!(q.pop(), Some("again"));
+        assert_eq!(q.pop(), Some("inbox"));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! transition code runs under the `lwt-model` checker
 //! (`crates/model/tests/waker.rs`) that pins property 2 against
 //! adversarial interleavings.
+//!
+//! [`UnitPark`], at the bottom of this file, is the same idea for the
+//! *stackful* case: the suspend/awaken handshake every ULT runtime
+//! shares.
 
 use crate::sysapi::AtomicUsize;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
@@ -151,9 +155,103 @@ impl TaskState {
     }
 }
 
+/// Unit is running (or queued); no wake is pending.
+const EMPTY: usize = 0;
+/// Unit is suspended: it sits in no queue until an unpark requeues it.
+const PARKED: usize = 1;
+/// An unpark arrived while the unit was not parked; the next park
+/// consumes it and returns immediately.
+const WOKEN: usize = 2;
+
+/// The suspend/awaken handshake of a *stackful* unit — the sibling of
+/// [`TaskState`] for units that park inside their own stack.
+///
+/// A suspending ULT cannot publish "parked" before its context is
+/// saved, so [`park`](UnitPark::park) runs *after* the switch, on
+/// whichever code gained control (the post-switch protocol of
+/// `lwt-ultcore` and `lwt-argobots`), while [`unpark`](UnitPark::unpark)
+/// may fire from any thread at any time — before the switch, during
+/// it, after it, or twice. One word resolves all of it: exactly one
+/// side ends up owning the requeue, and an unpark that finds nobody
+/// parked leaves a token (like `std::thread::park`) so the wake is
+/// never lost, only early. Model-checked in
+/// `crates/model/tests/unitpark.rs`.
+#[derive(Debug)]
+pub struct UnitPark {
+    state: AtomicUsize,
+}
+
+impl Default for UnitPark {
+    fn default() -> Self {
+        UnitPark::new()
+    }
+}
+
+impl UnitPark {
+    /// A running unit with no wake pending.
+    #[must_use]
+    pub fn new() -> Self {
+        UnitPark {
+            state: AtomicUsize::new(EMPTY),
+        }
+    }
+
+    /// Post-switch side: the unit's context is saved and it is in no
+    /// queue. Returns `true` if it is now parked (a later
+    /// [`unpark`](UnitPark::unpark) owns the requeue); `false` if a
+    /// wake got in first — the token is consumed and the **caller**
+    /// must requeue the unit right away.
+    ///
+    /// `Release` on the parking CAS publishes the saved context (and
+    /// whatever the unit wrote before suspending) to the unparker that
+    /// requeues it.
+    #[must_use]
+    pub fn park(&self) -> bool {
+        match self.state.compare_exchange(EMPTY, PARKED, AcqRel, Acquire) {
+            Ok(_) => true,
+            Err(_) => {
+                // Only an unparker writes WOKEN, and only the (single)
+                // parker ever leaves EMPTY any other way.
+                self.state.store(EMPTY, Release);
+                false
+            }
+        }
+    }
+
+    /// Waker side. Returns `true` if this call took the unit out of
+    /// its park — the caller **must** requeue it, exactly once. `false`
+    /// means the unit was not parked: the wake is recorded for its
+    /// next park (or coalesced with one already recorded).
+    #[must_use]
+    pub fn unpark(&self) -> bool {
+        let mut cur = self.state.load(Acquire);
+        loop {
+            let next = match cur {
+                PARKED => EMPTY,
+                EMPTY => WOKEN,
+                _ => return false,
+            };
+            match self.state.compare_exchange(cur, next, AcqRel, Acquire) {
+                Ok(_) => return cur == PARKED,
+                Err(observed) => cur = observed,
+            }
+        }
+    }
+}
+
 #[cfg(all(test, not(lwt_model)))]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unpark_before_park_leaves_a_token() {
+        let p = UnitPark::new();
+        assert!(!p.unpark()); // nobody parked: token recorded
+        assert!(!p.unpark()); // coalesced
+        assert!(!p.park()); // token consumed: caller requeues
+        assert!(p.park()); // no token left: really parked
+        assert!(p.unpark()); // this unparker owns the requeue
+    }
 
     #[test]
     fn spawn_then_poll_then_complete() {

@@ -12,11 +12,10 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Two waiter shapes.** A ULT waits by polling
-//!    [`TimerEntry::has_fired`] inside its readiness relax loop; an
-//!    async task parks its [`Waker`] in the entry. Firing supports
-//!    both: it flips the state flag (Release) and then wakes any
-//!    parked waker.
+//! 1. **One waiter shape.** Every waiter — suspended ULT, async task,
+//!    parked OS thread — registers its [`Waker`] in the entry and
+//!    re-checks [`TimerEntry::has_fired`] when woken. Firing flips the
+//!    state flag (Release) and then wakes the registered waker.
 //! 2. **Model-checkable.** The entry state machine
 //!    (ARMED → FIRED | CANCELLED, exactly one winner) routes its
 //!    atomics through [`crate::sysapi`] and its waker slot through

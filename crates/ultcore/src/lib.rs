@@ -12,6 +12,9 @@
 //! * [`run_ult`] — claim + switch into a ULT from a worker loop.
 //! * [`yield_now`]/[`wait_until`]/[`in_ult`]/[`current_worker`] — the
 //!   in-ULT primitives, parameterized by the runtime's requeue policy.
+//! * [`suspend`]/[`awaken`]/[`unit_waker`] — park a ULT *off* every
+//!   queue (`CthSuspend`/`CthAwaken`) and the `Waker` that resumes it,
+//!   over the shared [`lwt_sched::UnitPark`] handshake.
 //! * [`TaskCell`]/[`ReadyUnit`]/[`run_unit`] ([`task`]) — the stackless
 //!   futures bridge: `core::future::Future`s dispatched from the same
 //!   ready queues as ULTs, with a hand-rolled waker vtable.
@@ -45,12 +48,14 @@ pub use task::{run_unit, PollTask, ReadyUnit, TaskCell, TaskOutcome, TaskResched
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::task::{Wake, Waker};
 
 use lwt_fiber::{cache, init_context, switch, switch_final, CachedStack, RawContext, StackSize};
 use lwt_metrics::registry::{emit, timestamp_if_tracing, COUNTERS, SPAWN_LATENCY};
 use lwt_metrics::{span, timeline, EventKind};
+use lwt_sched::UnitPark;
 
 /// Work-unit lifecycle states.
 pub mod state {
@@ -71,10 +76,30 @@ pub mod state {
 /// yield happened on — MassiveThreads pushes to that worker's own
 /// deque, Qthreads to the worker's shepherd, Go to the global queue.
 pub trait Requeue: Send + Sync + 'static {
-    /// Make `ult` runnable again. The core has already stored `READY`
-    /// (Release) into the state word; implementations only enqueue the
-    /// hint.
+    /// Make a yielded `ult` runnable again; called on `worker`'s own
+    /// thread. The core has already stored `READY` (Release) into the
+    /// state word; implementations only enqueue the hint.
     fn requeue(&self, worker: usize, ult: Arc<UltCore>);
+
+    /// Make an [`awaken`]ed `ult` runnable again on `worker`, the one
+    /// it suspended on — called *from whatever thread fired the wake*
+    /// (the reactor driver, a timer, another runtime's worker), so
+    /// implementations must enqueue through a path any thread may use,
+    /// keep the unit reachable if that worker is tied up, and wake the
+    /// worker if it sleeps. Defaults to [`Requeue::requeue`].
+    fn wake(&self, worker: usize, ult: Arc<UltCore>) {
+        self.requeue(worker, ult);
+    }
+
+    /// The runtime's count of units suspended on `worker` — the drain
+    /// contract's ledger. A suspended unit sits in no queue, so the
+    /// core counts it here from just before it parks until just after
+    /// its wake has requeued it, and a worker loop must not exit on
+    /// `stop` while its count is non-zero (see [`may_exit`]). `None`
+    /// (the default, and what bare closures get) opts out.
+    fn suspended(&self, _worker: usize) -> Option<&AtomicUsize> {
+        None
+    }
 }
 
 impl<F: Fn(usize, Arc<UltCore>) + Send + Sync + 'static> Requeue for F {
@@ -96,9 +121,15 @@ pub struct UltCore {
     /// Panic escaped from the entry closure; re-raised by the join
     /// wrapper the runtime builds.
     panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
-    /// Wakeup that raced with a [`crate::suspend`] in progress; consumed
-    /// by the post-switch Block processing.
-    wake_pending: std::sync::atomic::AtomicBool,
+    /// The suspend/awaken handshake ([`crate::suspend`] parks in the
+    /// post-switch Block processing, [`crate::awaken`] unparks).
+    park: UnitPark,
+    /// Where a wake sends the unit: its runtime's hook (fixed at the
+    /// first suspend — units never change runtimes; `Weak` so a parked
+    /// unit cannot keep a finished runtime alive) and the worker it
+    /// last suspended on.
+    home: OnceLock<Weak<dyn Requeue>>,
+    home_worker: AtomicUsize,
     /// Creation timestamp for the spawn-to-first-run histogram; zero
     /// when tracing is off (the stamp is skipped) or already consumed.
     spawn_ns: AtomicU64,
@@ -147,7 +178,9 @@ impl UltCore {
             stack: UnsafeCell::new(None),
             entry: UnsafeCell::new(Some(Box::new(f))),
             panic: UnsafeCell::new(None),
-            wake_pending: std::sync::atomic::AtomicBool::new(false),
+            park: UnitPark::new(),
+            home: OnceLock::new(),
+            home_worker: AtomicUsize::new(0),
             spawn_ns: AtomicU64::new(timestamp_if_tracing()),
             span,
         });
@@ -220,6 +253,7 @@ impl std::fmt::Debug for UltCore {
         let s = match self.state.load(Ordering::Relaxed) {
             state::READY => "ready",
             state::RUNNING => "running",
+            state::BLOCKED => "blocked",
             _ => "terminated",
         };
         write!(f, "UltCore({s})")
@@ -230,8 +264,8 @@ enum Post {
     None,
     Requeue(Arc<UltCore>),
     Terminated(Arc<UltCore>),
-    /// Park the ULT (suspend): publish BLOCKED unless a wakeup already
-    /// raced in, in which case requeue immediately.
+    /// Park the ULT (suspend) unless a wakeup already raced in, in
+    /// which case requeue immediately.
     Block(Arc<UltCore>),
 }
 
@@ -325,31 +359,23 @@ unsafe fn process_post(w: *mut WorkerCtx) {
             u.state.store(state::TERMINATED, Ordering::Release);
         }
         Post::Block(u) => {
-            if u.wake_pending.swap(false, Ordering::AcqRel) {
+            // SAFETY: worker fields are plain reads; `w` outlives this
+            // call, so the hook can be borrowed instead of cloned.
+            let (id, rq) = unsafe { ((*w).worker_id, &*(*w).requeue) };
+            // Counted before parking, so the decrement of the wake
+            // that ends this suspension can never precede it.
+            let count = rq.suspended(id);
+            if let Some(c) = count {
+                c.fetch_add(1, Ordering::Relaxed);
+            }
+            u.state.store(state::BLOCKED, Ordering::Release);
+            if !u.park.park() {
                 // awaken() arrived while the ULT was still switching
                 // away: make it runnable again right now.
                 u.state.store(state::READY, Ordering::Release);
-                // SAFETY: worker fields are plain reads.
-                let (id, rq) = unsafe { ((*w).worker_id, (*w).requeue.clone()) };
                 rq.requeue(id, u);
-            } else {
-                u.state.store(state::BLOCKED, Ordering::Release);
-                // Re-check: awaken() may have set the flag between the
-                // swap above and the BLOCKED store; it would then have
-                // seen RUNNING and set the flag without requeueing.
-                if u.wake_pending.swap(false, Ordering::AcqRel)
-                    && u.state
-                        .compare_exchange(
-                            state::BLOCKED,
-                            state::READY,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                {
-                    // SAFETY: worker fields are plain reads.
-                    let (id, rq) = unsafe { ((*w).worker_id, (*w).requeue.clone()) };
-                    rq.requeue(id, u);
+                if let Some(c) = count {
+                    c.fetch_sub(1, Ordering::Release);
                 }
             }
         }
@@ -495,9 +521,11 @@ pub fn yield_to(target: &Arc<UltCore>) -> bool {
     true
 }
 
-/// Park the calling ULT (`CthSuspend`): it will not run again until
-/// some other code calls [`awaken`] on it. Obtain the `Arc<UltCore>`
-/// to awaken through the runtime's handle machinery.
+/// Park the calling ULT (`CthSuspend`): it leaves every queue and
+/// costs its worker nothing until some other code calls [`awaken`] on
+/// it (directly, or through a [`unit_waker`]). A wake that arrived
+/// since the last suspend makes this return immediately, so callers
+/// loop on their condition.
 ///
 /// # Panics
 ///
@@ -513,6 +541,8 @@ pub fn suspend() {
     // also resolves races with concurrent awaken() calls.
     unsafe {
         let me = (*w).current.take().expect("suspending ULT not current");
+        me.home.get_or_init(|| Arc::downgrade(&(*w).requeue));
+        me.home_worker.store((*w).worker_id, Ordering::Relaxed);
         let my_ctx: *mut RawContext = me.ctx.get();
         (*w).post = Post::Block(me);
         let sched = (*w).sched_ctx;
@@ -522,44 +552,80 @@ pub fn suspend() {
     }
 }
 
-/// Make a [`suspend`]ed ULT runnable again (`CthAwaken`), enqueuing it
-/// through `requeue`. Returns `true` if this call was responsible for
-/// the wakeup (including the race where the ULT had not finished
-/// parking yet), `false` if the ULT was not suspended (ready, running
-/// with no suspend in flight, or terminated).
-pub fn awaken(ult: &Arc<UltCore>, requeue: impl FnOnce(Arc<UltCore>)) -> bool {
-    loop {
-        match ult.state.load(Ordering::Acquire) {
-            state::BLOCKED => {
-                if ult
-                    .state
-                    .compare_exchange(
-                        state::BLOCKED,
-                        state::READY,
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    requeue(ult.clone());
-                    return true;
-                }
+/// Make a [`suspend`]ed ULT runnable again (`CthAwaken`) through its
+/// runtime's [`Requeue::wake`] hook, on the worker it suspended on. Callable
+/// from any thread, any number of times: a wake that finds the ULT
+/// still running (or mid-switch, or not yet started) is remembered
+/// and makes its next [`suspend`] return at once — early, never lost.
+/// Returns `false` only when there is nothing left to wake: the ULT
+/// has terminated.
+pub fn awaken(ult: &Arc<UltCore>) -> bool {
+    if ult.park.unpark() {
+        // Parked, so `suspend` recorded where to; a unit whose runtime
+        // is already gone has nowhere to run and is simply dropped.
+        if let Some(home) = ult.home.get().and_then(Weak::upgrade) {
+            let worker = ult.home_worker.load(Ordering::Relaxed);
+            ult.state.store(state::READY, Ordering::Release);
+            home.wake(worker, ult.clone());
+            // After the push (Release): a worker that reads zero here
+            // also sees the queue entry — see `may_exit`.
+            if let Some(c) = home.suspended(worker) {
+                c.fetch_sub(1, Ordering::Release);
             }
-            state::RUNNING => {
-                // Either mid-suspend (our flag will be consumed by the
-                // post-switch Block processing) or simply running (the
-                // flag is consumed unset by a later suspend — which is
-                // exactly the semantics of a wakeup overtaking a park).
-                ult.wake_pending.store(true, Ordering::Release);
-                // If the park completed between our load and the store,
-                // loop to perform the wakeup ourselves.
-                if ult.state.load(Ordering::Acquire) != state::BLOCKED {
-                    return true;
-                }
-            }
-            _ => return false,
         }
     }
+    !ult.is_terminated()
+}
+
+impl Wake for UltCore {
+    fn wake(self: Arc<Self>) {
+        awaken(&self);
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        awaken(self);
+    }
+}
+
+/// A [`Waker`] that [`awaken`]s the calling ULT — a clone of the unit's
+/// own `Arc`, so building one allocates nothing. Pair it with
+/// [`suspend`]: publish the waker, re-check the condition, suspend.
+///
+/// # Panics
+///
+/// Panics when called outside a ULT.
+#[must_use]
+pub fn unit_waker() -> Waker {
+    let w = worker_ptr();
+    assert!(!w.is_null(), "lwt_ultcore::unit_waker() outside a ULT");
+    // SAFETY: live ctx of this thread.
+    let me = unsafe { (*w).current.clone() };
+    Waker::from(me.expect("lwt_ultcore::unit_waker() outside a ULT"))
+}
+
+/// The drain contract's exit test for a worker loop that found nothing
+/// to run after `stop` was raised: it may leave only once no unit is
+/// suspended on it (`suspended`, its [`Requeue::suspended`] count) and
+/// `queue_is_empty` still holds *after* that count read zero — a wake
+/// pushes before it decrements, so that order cannot miss a unit that
+/// was resumed in between.
+#[must_use]
+pub fn may_exit(suspended: &AtomicUsize, queue_is_empty: impl FnOnce() -> bool) -> bool {
+    suspended.load(Ordering::Acquire) == 0 && queue_is_empty()
+}
+
+/// The [`Straggler`] rows for units still suspended when a bounded
+/// drain gave up: one per worker with a non-zero
+/// [`Requeue::suspended`] count.
+pub fn suspended_stragglers(counts: &[AtomicUsize]) -> impl Iterator<Item = Straggler> + '_ {
+    counts.iter().enumerate().filter_map(|(worker, c)| {
+        let pending = c.load(Ordering::Acquire);
+        (pending > 0).then_some(Straggler {
+            worker,
+            pending,
+            what: "suspended units (blocked, in no queue)",
+        })
+    })
 }
 
 /// Whether the caller is executing inside a ULT.
@@ -1039,11 +1105,6 @@ mod suspend_tests {
             u
         }
 
-        fn awaken(&self, u: &Arc<UltCore>) -> bool {
-            let q = self.queues.clone();
-            awaken(u, move |u| q[0].inject(u))
-        }
-
         fn shutdown(mut self) {
             self.stop.store(true, Ordering::Release);
             for w in self.workers.drain(..) {
@@ -1070,11 +1131,9 @@ mod suspend_tests {
             std::thread::yield_now();
         }
         assert_eq!(progress.load(Ordering::SeqCst), 1);
-        assert!(rt.awaken(&u));
+        assert!(awaken(&u));
         wait_until(|| u.is_terminated());
         assert_eq!(progress.load(Ordering::SeqCst), 2);
-        // Awakening a finished ULT reports false.
-        assert!(!rt.awaken(&u));
         rt.shutdown();
     }
 
@@ -1094,7 +1153,7 @@ mod suspend_tests {
         });
         let mut woken = 0;
         while woken < ROUNDS {
-            if rt.awaken(&u) {
+            if awaken(&u) {
                 woken += 1;
                 // Wait for the wakeup to be consumed before the next,
                 // so each suspend pairs with one awaken.
@@ -1118,13 +1177,46 @@ mod suspend_tests {
     }
 
     #[test]
-    fn awaken_ready_unit_is_noop() {
+    fn awaken_before_the_first_suspend_is_remembered() {
+        // The waker can fire before the unit has ever suspended (or
+        // even run): the wake must make that first suspend return.
         let rt = MiniRt::new(1);
-        // Never-scheduled unit is READY: awaken must refuse.
-        let u = UltCore::new(lwt_fiber::StackSize(16 * 1024), || ());
-        assert!(!rt.awaken(&u));
+        let u = UltCore::new(lwt_fiber::StackSize(16 * 1024), suspend);
+        assert!(awaken(&u));
+        rt.queues[0].inject(u.clone());
+        wait_until(|| u.is_terminated());
+        assert!(!awaken(&u), "nothing left to wake");
         rt.shutdown();
-        // Let the unit drop unscheduled: its entry closure is simply
-        // released with the record.
+    }
+
+    #[test]
+    fn debug_names_the_blocked_state() {
+        let u = UltCore::new(lwt_fiber::StackSize(16 * 1024), || ());
+        u.state.store(state::BLOCKED, Ordering::Relaxed);
+        assert_eq!(format!("{u:?}"), "UltCore(blocked)");
+    }
+
+    #[test]
+    fn unit_waker_resumes_from_a_foreign_thread() {
+        let rt = MiniRt::new(1);
+        let slot: Arc<std::sync::Mutex<Option<Waker>>> = Arc::default();
+        let done = Arc::new(AtomicBool::new(false));
+        let (s2, d2) = (slot.clone(), done.clone());
+        let u = rt.spawn(move || {
+            *s2.lock().unwrap() = Some(unit_waker());
+            while !d2.load(Ordering::Acquire) {
+                suspend();
+            }
+        });
+        let waker = loop {
+            if let Some(w) = slot.lock().unwrap().take() {
+                break w;
+            }
+            std::thread::yield_now();
+        };
+        done.store(true, Ordering::Release);
+        waker.wake();
+        wait_until(|| u.is_terminated());
+        rt.shutdown();
     }
 }

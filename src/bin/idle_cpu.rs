@@ -6,11 +6,16 @@
 //!
 //! For each backend: start a pool, run a tiny warmup, then hold the
 //! runtime idle for a window while sampling process CPU time
-//! (`/proc/self/stat` utime+stime, all threads). Prints one CSV row
-//! per backend and asserts the window's CPU stays under a tolerance;
-//! after all runtimes finalize, asserts the park/unpark counters
-//! balance (`parks == unparks > 0`). Exits non-zero on violation, so
-//! CI can run it bare.
+//! (`/proc/self/stat` utime+stime, all threads). Then the same window
+//! again with **idle sockets**: one acceptor ULT blocked in `accept`
+//! and four reader ULTs blocked in `read` on quiet connections — units
+//! waiting on I/O are suspended, so this must cost as little as the
+//! empty pool (the regression fence against anyone reintroducing a
+//! relax loop into the wait path). Prints one CSV row per window and
+//! asserts its CPU stays under a tolerance; after all runtimes
+//! finalize, asserts the park/unpark counters balance
+//! (`parks == unparks > 0`). Exits non-zero on violation, so CI can
+//! run it bare.
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
@@ -20,8 +25,10 @@
 
 use std::time::Duration;
 
-use lwt_core::{BackendKind, Glt, WaitPolicy};
-use lwt_metrics::registry::snapshot;
+use lwt::core::WaitPolicy;
+use lwt::metrics::registry::snapshot;
+use lwt::net::TcpListener;
+use lwt::{BackendKind, Glt};
 
 /// Process CPU time (user + system, every thread) in milliseconds.
 ///
@@ -41,14 +48,55 @@ fn process_cpu_ms() -> u64 {
     (utime + stime) * 10
 }
 
+/// Reader ULTs parked on quiet connections in the idle-sockets window.
+const IDLE_READERS: usize = 4;
+
+/// Process CPU burned over one `idle_ms` window, after a settle pause
+/// that lets the workers reach their parkers.
+fn idle_window_cpu_ms(idle_ms: u64) -> u64 {
+    std::thread::sleep(Duration::from_millis(100));
+    let cpu0 = process_cpu_ms();
+    std::thread::sleep(Duration::from_millis(idle_ms));
+    process_cpu_ms() - cpu0
+}
+
+/// The idle-sockets window: block an acceptor and [`IDLE_READERS`]
+/// readers on sockets nobody writes to, measure, then release them
+/// (listener shutdown, peer EOF) so the pool drains cleanly.
+fn idle_sockets_cpu_ms(glt: &Glt, idle_ms: u64) -> u64 {
+    let listener = std::sync::Arc::new(TcpListener::bind("127.0.0.1:0").expect("bind"));
+    let addr = listener.local_addr().expect("local_addr");
+    let mut peers = Vec::new();
+    let mut units = Vec::new();
+    for _ in 0..IDLE_READERS {
+        peers.push(std::net::TcpStream::connect(addr).expect("connect"));
+        let (stream, _) = listener.accept().expect("accept");
+        units.push(glt.ult_create(move || {
+            let n = stream.read(&mut [0u8; 8]).expect("quiet read ends in EOF");
+            assert_eq!(n, 0);
+        }));
+    }
+    let inside = std::sync::Arc::clone(&listener);
+    units.push(glt.ult_create(move || {
+        inside.accept().map(|_| ()).expect_err("only the shutdown ends this accept");
+    }));
+    let cpu_spent = idle_window_cpu_ms(idle_ms);
+    listener.shutdown();
+    drop(peers);
+    for unit in units {
+        unit.join();
+    }
+    cpu_spent
+}
+
 fn main() {
-    let workers = lwt_microbench::env_usize("LWT_IDLE_WORKERS", 4);
-    let idle_ms = lwt_microbench::env_usize("LWT_IDLE_MS", 800) as u64;
-    let tol_ms = lwt_microbench::env_usize("LWT_IDLE_CPU_TOLERANCE_MS", 150) as u64;
+    let workers = lwt::microbench::env_usize("LWT_IDLE_WORKERS", 4);
+    let idle_ms = lwt::microbench::env_usize("LWT_IDLE_MS", 800) as u64;
+    let tol_ms = lwt::microbench::env_usize("LWT_IDLE_CPU_TOLERANCE_MS", 150) as u64;
 
     // Worker time accounting: the idle windows double as the sanity
     // probe that the five state buckets partition wall time.
-    lwt_metrics::set_accounting(true);
+    lwt::metrics::set_accounting(true);
 
     println!("figure,series,workers,idle_wall_ms,idle_cpu_ms");
     let mut failed = false;
@@ -61,20 +109,23 @@ fn main() {
         let handles: Vec<_> = (0..32).map(|i| glt.ult_create(move || i)).collect();
         let sum: usize = handles.into_iter().map(|h| h.join()).sum();
         assert_eq!(sum, 31 * 32 / 2, "warmup failed on {kind}");
-        std::thread::sleep(Duration::from_millis(100));
 
-        let cpu0 = process_cpu_ms();
-        std::thread::sleep(Duration::from_millis(idle_ms));
-        let cpu_spent = process_cpu_ms() - cpu0;
+        let pool_cpu = idle_window_cpu_ms(idle_ms);
+        let sockets_cpu = idle_sockets_cpu_ms(&glt, idle_ms);
         glt.finalize().expect("clean drain");
 
-        println!("idle_cpu,{},{workers},{idle_ms},{cpu_spent}", kind.name());
-        if cpu_spent > tol_ms {
-            eprintln!(
-                "FAIL: {kind} burned {cpu_spent} ms CPU over a {idle_ms} ms idle \
-                 window (tolerance {tol_ms} ms) — idle workers are spinning"
-            );
-            failed = true;
+        for (series, cpu_spent, culprit) in [
+            ("", pool_cpu, "idle workers are spinning"),
+            ("+sockets", sockets_cpu, "units blocked on I/O are spinning"),
+        ] {
+            println!("idle_cpu,{}{series},{workers},{idle_ms},{cpu_spent}", kind.name());
+            if cpu_spent > tol_ms {
+                eprintln!(
+                    "FAIL: {kind}{series} burned {cpu_spent} ms CPU over a {idle_ms} ms \
+                     idle window (tolerance {tol_ms} ms) — {culprit}"
+                );
+                failed = true;
+            }
         }
     }
 
@@ -102,13 +153,13 @@ fn main() {
     // worker's accounted wall time (percentages sum to ~100), and a
     // mostly-idle passive pool must show its time in parked/idle, not
     // busy.
-    let util = lwt_metrics::utilization();
-    let total_pct: f64 = lwt_metrics::WorkerState::ALL
+    let util = lwt::metrics::utilization();
+    let total_pct: f64 = lwt::metrics::WorkerState::ALL
         .iter()
         .map(|&s| util.aggregate_pct(s))
         .sum();
-    let parked_idle_pct = util.aggregate_pct(lwt_metrics::WorkerState::Parked)
-        + util.aggregate_pct(lwt_metrics::WorkerState::Idle);
+    let parked_idle_pct = util.aggregate_pct(lwt::metrics::WorkerState::Parked)
+        + util.aggregate_pct(lwt::metrics::WorkerState::Idle);
     println!(
         "idle_cpu,utilization,workers={},busy_pct={:.2},parked_idle_pct={:.2},total_pct={:.2}",
         util.workers.len(),

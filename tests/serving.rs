@@ -289,3 +289,142 @@ fn ci_smoke_100_concurrent_clients_every_backend() {
         glt.finalize().expect("clean drain");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The single wait path: a blocked ULT is suspended, not spinning
+// ---------------------------------------------------------------------------
+
+/// A connected loopback pair: the reactor-registered server side and
+/// a plain `std::net` peer that no work unit touches.
+fn quiet_pair() -> (TcpStream, std::net::TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let peer = std::net::TcpStream::connect(listener.local_addr().expect("local_addr"))
+        .expect("connect");
+    let (stream, _) = listener.accept().expect("accept");
+    (stream, peer)
+}
+
+/// A ULT blocked on a quiet socket costs nothing: no yields, both
+/// workers parked, and a peer write resumes it promptly. Counters are
+/// process-global, so the body runs in a child process that executes
+/// only this test (the other tests here yield in their joins).
+#[test]
+fn blocked_ult_is_suspended_not_spinning_every_backend() {
+    const CHILD: &str = "SERVING_TEST_ISOLATED_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let status = std::process::Command::new(std::env::current_exe().expect("current_exe"))
+            .args(["--exact", "blocked_ult_is_suspended_not_spinning_every_backend"])
+            .env(CHILD, "1")
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("re-exec test binary");
+        assert!(status.success(), "isolated child failed: {status}");
+        return;
+    }
+    use std::io::Write as _;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    for kind in BackendKind::ALL {
+        let glt = Glt::builder(kind).workers(2).build();
+        let (stream, peer) = quiet_pair();
+        let reading = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&reading);
+        let reader = glt.ult_create(move || {
+            flag.store(true, Ordering::Release);
+            let mut buf = [0u8; 4];
+            stream.read_exact(&mut buf).expect("read");
+            (buf, std::time::Instant::now())
+        });
+        while !reading.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        // Let the reader reach its wait and the workers go to sleep.
+        std::thread::sleep(Duration::from_millis(50));
+        let before = lwt::metrics::snapshot().counters;
+        std::thread::sleep(Duration::from_millis(100));
+        let after = lwt::metrics::snapshot().counters;
+        assert_eq!(
+            after.delta(&before).yields,
+            0,
+            "a blocked reader yielded on {kind}: the wait is spinning"
+        );
+        assert_eq!(
+            after.workers_parked_level, 2,
+            "workers not parked behind a blocked reader on {kind}"
+        );
+
+        let sent = std::time::Instant::now();
+        (&peer).write_all(b"wake").expect("peer write");
+        let (buf, resumed) = join_within(reader, "suspended reader");
+        assert_eq!(&buf, b"wake");
+        let took = resumed.duration_since(sent);
+        assert!(took < Duration::from_millis(150), "resume took {took:?} on {kind}");
+        glt.finalize().expect("clean drain");
+    }
+}
+
+/// Deadlines reach a suspended ULT: the wheel fires the same waker the
+/// reactor would, and the read surfaces `TimedOut`.
+#[test]
+fn read_timeout_fires_while_suspended_every_backend() {
+    for kind in BackendKind::ALL {
+        let glt = Glt::builder(kind).workers(2).build();
+        let (stream, _peer) = quiet_pair();
+        stream.set_read_timeout(Some(Duration::from_millis(60)));
+        let reader = glt.ult_create(move || {
+            let started = std::time::Instant::now();
+            let err = stream.read(&mut [0u8; 4]).expect_err("nothing was sent");
+            (err.kind(), started.elapsed())
+        });
+        let (kind_of, elapsed) = join_within(reader, "deadline reader");
+        assert_eq!(kind_of, std::io::ErrorKind::TimedOut, "on {kind}");
+        assert!(elapsed >= Duration::from_millis(50), "early on {kind}: {elapsed:?}");
+        glt.finalize().expect("clean drain");
+    }
+}
+
+/// `close_wake` from another thread reaches a suspended reader as
+/// `NotConnected`.
+#[test]
+fn close_wake_unblocks_a_suspended_reader_every_backend() {
+    for kind in BackendKind::ALL {
+        let glt = Glt::builder(kind).workers(2).build();
+        let (stream, _peer) = quiet_pair();
+        let stream = Arc::new(stream);
+        let inside = Arc::clone(&stream);
+        let reader =
+            glt.ult_create(move || inside.read(&mut [0u8; 4]).expect_err("closed").kind());
+        std::thread::sleep(Duration::from_millis(20));
+        stream.close_wake();
+        let kind_of = join_within(reader, "close-woken reader");
+        assert_eq!(kind_of, std::io::ErrorKind::NotConnected, "on {kind}");
+        glt.finalize().expect("clean drain");
+    }
+}
+
+/// The drain contract survives suspension: a reader still blocked at
+/// `finalize` sits in no queue, yet the workers neither exit early
+/// (stranding its stack silently) nor hang — the drain waits out its
+/// deadline and names the suspended unit.
+#[test]
+fn finalize_reports_a_still_blocked_reader_every_backend() {
+    for kind in BackendKind::ALL {
+        let deadline = Duration::from_millis(200);
+        let glt = Glt::builder(kind).workers(2).drain_timeout(deadline).build();
+        let (stream, _peer) = quiet_pair();
+        let reader = glt.ult_create(move || stream.read(&mut [0u8; 4]).map(|_| ()));
+        std::thread::sleep(Duration::from_millis(20));
+        let started = std::time::Instant::now();
+        let err = glt.finalize().expect_err("a unit is still blocked");
+        let waited = started.elapsed();
+        assert!(waited >= deadline, "drain exited early on {kind}: {waited:?}");
+        assert!(waited < Duration::from_secs(10), "drain hung on {kind}: {waited:?}");
+        let suspended: usize = err
+            .stragglers
+            .iter()
+            .filter(|s| s.what.contains("suspended"))
+            .map(|s| s.pending)
+            .sum();
+        assert_eq!(suspended, 1, "on {kind}: {err}");
+        assert!(!reader.is_finished());
+    }
+}
