@@ -58,7 +58,7 @@ echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 CARGO_TARGET_DIR=target/lwt-model \
     RUSTFLAGS="${RUSTFLAGS:-} --cfg lwt_model" \
     timeout 600 cargo test -q --offline -p lwt-model
-echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker + unitpark)"
+echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker + unitpark + waitlist)"
 
 echo "== tier1: trace-export smoke (LWT_TRACE=1)"
 # One real microbench run with tracing on must produce a parseable
@@ -160,18 +160,20 @@ assert "seed" in chaos and "sites" in chaos, "chaos section must carry replay st
 print(f"   ok: well-formed bundle {os.path.basename(dumps[0])} ({len(dumps)} dump(s))")
 PY
 
-echo "== tier1: idle-CPU smoke (parked pools and blocked sockets must not spin)"
+echo "== tier1: idle-CPU smoke (parked pools, blocked sockets and blocked joiners must not spin)"
 # A quiescent pool in passive mode must burn near-zero process CPU
 # across every backend — the acceptance probe for worker parking —
 # and so must the same pool with idle sockets: one acceptor ULT and
 # four reader ULTs blocked on quiet connections are *suspended*, so
 # their window costs what the empty one does (the fence against a
-# relax loop creeping back into the I/O wait path). The park/unpark
+# relax loop creeping back into the I/O wait path), and so must
+# blocked joiners: a ULT and an OS thread each joining a sleeping unit
+# are suspended / parked too (held to 20 ms). The park/unpark
 # counters must balance once everything is finalized. The binary
 # asserts all of it and exits non-zero on violation (tolerances:
 # LWT_IDLE_CPU_TOLERANCE_MS, default 150 ms per 800 ms idle window).
 cargo run --release --offline -q --bin idle_cpu
-echo "   ok: parked pools and blocked sockets idle at ~zero CPU; park/unpark counters balance"
+echo "   ok: parked pools, blocked sockets and blocked joiners idle at ~zero CPU; park/unpark counters balance"
 
 echo "== tier1: serving smoke (reactor echo, 100 clients x 5 backends)"
 # The lwt-net reactor must carry a loopback echo server with 100
@@ -245,18 +247,49 @@ print(f"   {len(records)} records, all offered requests served, 0 failures")
 PY
 echo "   ok: 503s well-formed, 4x-cap load fully served, zero stall reports"
 
+echo "== tier1: join-path smoke (64-child in-unit join per backend: suspends, never yields)"
+# A join is one suspend and one wake. The conformance test forks 64
+# children from inside a ULT on every backend (1 and 2 workers) and
+# joins them there, in a re-exec'd child so the process-global counters
+# see nothing else: the `yields` delta over the joins must be 0 and the
+# `wait_blocks` delta at most 64.
+cargo test -q --offline --test glt_conformance \
+    in_unit_join_of_64_children_suspends_instead_of_yielding >/dev/null
+# And no relax loop may creep back into a work unit's wait: the only
+# AdaptiveRelax users left are plain-OS-thread waits (the spin/yield
+# look before `thread::park` in `lwt_sync::block_thread_on`, an
+# external thread on an Argobots lock), control-plane waits (Converse's
+# processor barrier and quiescence poll, run by the master and the
+# processors' own scheduler loops) and the bounded
+# `GltHandle::join_timeout`.
+RELAX_USERS=$(grep -rln AdaptiveRelax crates/*/src | sort | tr '\n' ' ')
+RELAX_ALLOWED="crates/argobots/src/sync.rs crates/converse/src/lib.rs crates/core/src/glt.rs crates/sync/src/backoff.rs crates/sync/src/lib.rs crates/sync/src/waitlist.rs "
+grep -rn AdaptiveRelax crates/*/src | grep -v '^crates/sync/src/' | sed 's/^/   /'
+if [ "$RELAX_USERS" != "$RELAX_ALLOWED" ]; then
+    echo "FAIL: AdaptiveRelax users changed: $RELAX_USERS" >&2
+    echo "      (allowed: $RELAX_ALLOWED)" >&2
+    exit 1
+fi
+echo "   ok: joins suspend on every backend; AdaptiveRelax only in control-plane and bounded waits"
+
 echo "== tier1: spawn-path smoke (fig2_create vs committed baseline)"
 # One quick fig2_create bench run; the spawn path must not regress
 # >25% (geometric mean of per-series median ratios) against the
 # committed results/BENCH_fig2_create.json. A single series may jitter
 # on a loaded box, so individual series only fail at 2x. Tolerances
-# overridable for slower/faster CI hosts.
+# overridable for slower/faster CI hosts. Both the baseline and this
+# run are pinned to one CPU: with the master and the single worker on
+# separate vCPUs, create is bimodal (a spawn that finds the worker
+# parked pays a futex wake: 250 ns vs 1 us per series, flipping between
+# runs), and no ratio check survives a 4x mode switch.
 # Absolute: cargo runs the bench with cwd = the package dir, so a
 # relative LWT_BENCH_DIR would land under crates/bench/.
 SMOKE_DIR="$PWD/target/lwt-bench-smoke"
 rm -f "$SMOKE_DIR/BENCH_fig2_create.json"
+PIN=""
+if command -v taskset >/dev/null 2>&1; then PIN="taskset -c 0"; fi
 LWT_BENCH_DIR="$SMOKE_DIR" LWT_THREADS=1 \
-    cargo bench --offline -q -p lwt-bench --bench fig2_create >/dev/null
+    $PIN cargo bench --offline -q -p lwt-bench --bench fig2_create >/dev/null
 python3 - results/BENCH_fig2_create.json "$SMOKE_DIR/BENCH_fig2_create.json" <<'PY'
 import json, math, os, sys
 

@@ -60,7 +60,7 @@ mod unit;
 pub use pool::{Pool, PoolPolicy};
 pub use runtime::{Config, Runtime};
 pub use sched::{BasicScheduler, Pick, SchedContext, Scheduler, WorkUnit};
-pub use stream::{current_stream, in_ult, self_suspend, unit_waker, yield_now, yield_to};
+pub use stream::{block_on, current_stream, in_ult, self_suspend, unit_waker, yield_now, yield_to};
 pub use sync::{AbtBarrier, AbtCond, AbtFuture, AbtMutex, AbtMutexGuard, Eventual};
 pub use unit::{TaskletHandle, UltHandle, UnitState};
 

@@ -247,6 +247,7 @@ impl Runtime {
             entry: UnsafeCell::new(Some(entry)),
             home: UnsafeCell::new(Some(pool.clone())),
             park: lwt_sched::UnitPark::new(),
+            joiners: lwt_sync::WaitList::new(),
             panic: UnsafeCell::new(None),
             spawn_ns: std::sync::atomic::AtomicU64::new(timestamp_if_tracing()),
             span: lwt_metrics::span::on_spawn(),
@@ -349,6 +350,7 @@ impl Runtime {
             state: AtomicU8::new(READY),
             entry: UnsafeCell::new(Some(entry)),
             panic: UnsafeCell::new(None),
+            joiners: lwt_sync::WaitList::new(),
             spawn_ns: std::sync::atomic::AtomicU64::new(timestamp_if_tracing()),
             span: lwt_metrics::span::on_spawn(),
         });

@@ -19,7 +19,7 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::task::{Wake, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 
 use lwt_fiber::{switch, switch_final, RawContext};
 use lwt_metrics::registry::{emit, COUNTERS};
@@ -217,6 +217,7 @@ unsafe fn execute(es: *mut EsCtx, unit: Unit) {
             }
             timeline::enter(timeline::WorkerState::Dispatch);
             t.state.store(TERMINATED, Ordering::Release);
+            t.joiners.wake_all();
         }
         Unit::Ult(u) => {
             if !u.claim() {
@@ -267,6 +268,9 @@ pub(crate) unsafe fn process_post(es: *mut EsCtx) {
         }
         Post::Terminated(u) => {
             u.state.store(TERMINATED, Ordering::Release);
+            // After the publication, so a joiner resumed by this wake
+            // finds TERMINATED; nobody waiting costs a fence and a load.
+            u.joiners.wake_all();
         }
         Post::Block(u) => {
             // SAFETY: `home` is written once at creation.
@@ -486,32 +490,14 @@ pub fn current_stream() -> Option<usize> {
     }
 }
 
-/// Wait for `cond`, yielding the ULT when inside one and spin-yielding
-/// the OS thread otherwise — the join discipline of `ABT_thread_free`.
-pub(crate) fn wait_until(cond: impl Fn() -> bool) {
-    if cond() {
-        return;
-    }
-    let _watch = lwt_chaos::block_enter(
-        lwt_chaos::BlockKind::Join,
-        std::ptr::from_ref(&cond) as u64,
-    );
+/// Drive `poll` to completion, suspending the caller after each
+/// `Pending`: a ULT through [`self_suspend`] (its waker resumes it into
+/// its home pool), a plain OS thread through `thread::park` — this
+/// crate's counterpart of `lwt_ultcore::block_on`.
+pub fn block_on<T>(poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
     if in_ult() {
-        // Yield so the stream runs other units; escalate to napping if
-        // the wait drags on (see lwt_sync::AdaptiveRelax for why pure
-        // yield loops starve oversubscribed hosts).
-        let mut relax = lwt_sync::AdaptiveRelax::new();
-        while !cond() {
-            yield_now();
-            if cond() {
-                break;
-            }
-            relax.relax();
-        }
+        lwt_sync::block_on(&unit_waker(), self_suspend, poll)
     } else {
-        let mut relax = lwt_sync::AdaptiveRelax::new();
-        while !cond() {
-            relax.relax();
-        }
+        lwt_sync::block_thread_on(poll)
     }
 }

@@ -2,16 +2,35 @@
 //! `ABT_barrier`, `ABT_eventual`, `ABT_future`).
 //!
 //! Unlike OS primitives, blocking here never blocks the execution
-//! stream: waiting ULTs yield, so the stream keeps executing other work
-//! units — the property that lets Argobots programs hold locks across
-//! fine-grained tasks without wedging their streams.
+//! stream: a ULT waiting on an eventual, a future or a barrier is
+//! suspended on the object's waker list and resumed by whoever
+//! releases it; one waiting on a lock yields. Either way the stream
+//! keeps executing other work units — the property that lets Argobots
+//! programs hold locks across fine-grained tasks without wedging their
+//! streams.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lwt_sync::SpinLock;
+use lwt_chaos::BlockKind;
+use lwt_sync::{SpinLock, WaitList};
 
-use crate::stream::wait_until;
+use crate::stream::{block_on, in_ult, yield_now};
+
+/// A lock wait (`ABT_mutex`, `ABT_cond`): yield the ULT, or back off
+/// the external thread, until `cond` holds. Locks keep the yielding
+/// discipline until the spin → yield → suspend ladder lands (ROADMAP
+/// item 5).
+fn yield_until(cond: impl Fn() -> bool) {
+    let mut relax = lwt_sync::AdaptiveRelax::new();
+    while !cond() {
+        if in_ult() {
+            yield_now();
+        } else {
+            relax.relax();
+        }
+    }
+}
 
 /// A ULT-aware mutual-exclusion lock (`ABT_mutex`).
 ///
@@ -63,7 +82,7 @@ impl<T: ?Sized> AbtMutex<T> {
             if let Some(g) = self.try_lock() {
                 return g;
             }
-            wait_until(|| !self.locked.load(Ordering::Relaxed));
+            yield_until(|| !self.locked.load(Ordering::Relaxed));
         }
     }
 
@@ -154,7 +173,7 @@ impl AbtCond {
         let mutex = guard.mutex;
         let ticket = self.tickets.fetch_add(1, Ordering::AcqRel);
         drop(guard);
-        wait_until(|| self.granted.load(Ordering::Acquire) > ticket);
+        yield_until(|| self.granted.load(Ordering::Acquire) > ticket);
         mutex.lock()
     }
 
@@ -195,11 +214,12 @@ impl AbtCond {
     }
 }
 
-/// A ULT-aware barrier (`ABT_barrier`): like
-/// [`lwt_sync::SenseBarrier`] but waiting ULTs yield their stream.
+/// A ULT-aware barrier (`ABT_barrier`): an [`lwt_sync::SenseBarrier`]
+/// whose waiting ULTs are suspended until the last arriver wakes them.
 #[derive(Debug)]
 pub struct AbtBarrier {
     inner: lwt_sync::SenseBarrier,
+    waiters: WaitList,
 }
 
 impl AbtBarrier {
@@ -212,27 +232,27 @@ impl AbtBarrier {
     pub fn new(participants: usize) -> Self {
         AbtBarrier {
             inner: lwt_sync::SenseBarrier::new(participants),
+            waiters: WaitList::new(),
         }
     }
 
     /// Wait for all participants; returns `true` for one leader per
     /// episode.
     ///
-    /// All participants must be able to run concurrently or via yields
-    /// — with private pools, do not place more participants on one
-    /// stream than its scheduler can interleave (they yield, so any
-    /// number works; they just serialize).
+    /// Waiters are suspended, not queued, so any number of participants
+    /// may share a stream.
     pub fn wait(&self) -> bool {
-        // SenseBarrier's relax is a plain closure; route it through the
-        // ULT-aware waiting discipline by polling with wait_until-style
-        // escalation.
-        let mut escalate = lwt_sync::AdaptiveRelax::new();
-        self.inner.wait(move || {
-            if crate::stream::in_ult() {
-                crate::stream::yield_now();
-            }
-            escalate.relax();
-        })
+        // Read before arriving: the sense cannot flip until this
+        // participant has arrived too.
+        let sense = self.inner.sense();
+        let released = || self.inner.sense() != sense;
+        let leader = self
+            .inner
+            .wait(|| block_on(|cx| self.waiters.poll_until(cx, released)));
+        if leader {
+            self.waiters.wake_all();
+        }
+        leader
     }
 }
 
@@ -242,6 +262,7 @@ impl AbtBarrier {
 pub struct Eventual<T> {
     ready: AtomicBool,
     value: SpinLock<Option<T>>,
+    waiters: WaitList,
 }
 
 impl<T> Eventual<T> {
@@ -251,6 +272,7 @@ impl<T> Eventual<T> {
         Eventual {
             ready: AtomicBool::new(false),
             value: SpinLock::new(None),
+            waiters: WaitList::new(),
         }
     }
 
@@ -266,6 +288,7 @@ impl<T> Eventual<T> {
         *slot = Some(value);
         drop(slot);
         self.ready.store(true, Ordering::Release);
+        self.waiters.wake_all();
     }
 
     /// Whether the value is available (`ABT_eventual_test`).
@@ -276,7 +299,8 @@ impl<T> Eventual<T> {
 
     /// Wait (ULT-aware) until set (`ABT_eventual_wait`).
     pub fn wait(&self) {
-        wait_until(|| self.is_ready());
+        self.waiters
+            .wait_until(BlockKind::Event, || self.is_ready(), |poll| block_on(poll));
     }
 
     /// Wait and clone the value out.
@@ -322,6 +346,7 @@ pub struct AbtFuture<T> {
     expected: usize,
     contributed: AtomicUsize,
     values: SpinLock<Vec<T>>,
+    waiters: WaitList,
 }
 
 impl<T: Send> AbtFuture<T> {
@@ -337,6 +362,7 @@ impl<T: Send> AbtFuture<T> {
             expected,
             contributed: AtomicUsize::new(0),
             values: SpinLock::new(Vec::with_capacity(expected)),
+            waiters: WaitList::new(),
         })
     }
 
@@ -349,6 +375,9 @@ impl<T: Send> AbtFuture<T> {
         self.values.lock().push(value);
         let prev = self.contributed.fetch_add(1, Ordering::AcqRel);
         assert!(prev < self.expected, "AbtFuture over-contributed");
+        if prev + 1 == self.expected {
+            self.waiters.wake_all();
+        }
     }
 
     /// Whether all contributions have arrived.
@@ -359,7 +388,8 @@ impl<T: Send> AbtFuture<T> {
 
     /// Wait (ULT-aware) until ready (`ABT_future_wait`).
     pub fn wait(&self) {
-        wait_until(|| self.is_ready());
+        self.waiters
+            .wait_until(BlockKind::Event, || self.is_ready(), |poll| block_on(poll));
     }
 
     /// Wait, then take the contributed values (single consumer; the

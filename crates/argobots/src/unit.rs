@@ -8,6 +8,7 @@ use std::sync::Arc;
 use lwt_fiber::{CachedStack, RawContext};
 use lwt_metrics::registry::SPAWN_LATENCY;
 use lwt_sched::UnitPark;
+use lwt_sync::WaitList;
 use lwt_ultcore::{JoinError, PollTask};
 
 use crate::pool::PoolShared;
@@ -72,6 +73,9 @@ pub(crate) struct UltInner {
     /// The `self_suspend`/`resume` handshake — the same machine the
     /// ultcore runtimes use.
     pub(crate) park: UnitPark,
+    /// Whoever is blocked joining this ULT; fired right after
+    /// `TERMINATED` is published.
+    pub(crate) joiners: WaitList,
     /// Panic payload captured from the entry closure, re-raised at join.
     pub(crate) panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
     /// Creation timestamp for the spawn-to-first-run histogram; zero
@@ -113,6 +117,8 @@ pub(crate) struct TaskletInner {
     pub(crate) state: AtomicU8,
     pub(crate) entry: UnsafeCell<Option<Entry>>,
     pub(crate) panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
+    /// See [`UltInner::joiners`].
+    pub(crate) joiners: WaitList,
     /// See [`UltInner::spawn_ns`].
     pub(crate) spawn_ns: AtomicU64,
     /// See [`UltInner::span`].
@@ -185,15 +191,20 @@ impl<T> UltHandle<T> {
     /// escaped the ULT's closure as a [`JoinError`] instead of
     /// re-raising it.
     ///
-    /// Inside a ULT this yields the caller (keeping the stream busy);
-    /// from an external thread it spin-yields, matching how the paper's
-    /// microbenchmarks join from the master thread.
+    /// Inside a ULT this suspends the caller until the joined unit's
+    /// stream resumes it (the stream runs other units meanwhile); an
+    /// external thread — the paper's master-thread join — sleeps in
+    /// `thread::park`.
     ///
     /// # Errors
     ///
     /// [`JoinError`] carrying the panic payload.
     pub fn try_join(self) -> Result<T, JoinError> {
-        crate::stream::wait_until(|| self.inner.is_terminated());
+        self.inner.joiners.wait_until(
+            lwt_chaos::BlockKind::Join,
+            || self.inner.is_terminated(),
+            |poll| crate::block_on(poll),
+        );
         lwt_metrics::span::on_join(self.inner.span);
         // SAFETY: TERMINATED observed with Acquire; the unit will never
         // touch `panic`/result again; we own the handle.
@@ -261,7 +272,11 @@ impl<T> TaskletHandle<T> {
     ///
     /// [`JoinError`] carrying the panic payload.
     pub fn try_join(self) -> Result<T, JoinError> {
-        crate::stream::wait_until(|| self.inner.is_terminated());
+        self.inner.joiners.wait_until(
+            lwt_chaos::BlockKind::Join,
+            || self.inner.is_terminated(),
+            |poll| crate::block_on(poll),
+        );
         lwt_metrics::span::on_join(self.inner.span);
         // SAFETY: as in UltHandle::try_join.
         unsafe {

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use lwt_sync::{Event, SpinLock};
-use lwt_ultcore::wait_until;
+use lwt_ultcore::block_on;
 
 use crate::Runtime;
 
@@ -85,7 +85,7 @@ impl<S: Send + 'static> Chare<S> {
     }
 
     /// Client-server call: run `f` on the chare's processor and wait
-    /// (ULT-aware; external threads spin-yield) for its reply.
+    /// (a ULT is suspended, an external thread parked) for its reply.
     ///
     /// Must not be called from a *message running on the chare's own
     /// processor* — that would wait on itself (the same no-blocking
@@ -105,7 +105,7 @@ impl<S: Send + 'static> Chare<S> {
             *s2.lock() = Some(reply);
             d2.set();
         });
-        wait_until(|| done.is_set());
+        done.wait(|| block_on(|cx| done.poll_set(cx)));
         let reply = slot.lock().take();
         reply.expect("chare reply missing")
     }

@@ -59,7 +59,7 @@ use lwt_metrics::EventKind;
 use lwt_sched::{Injector, ParkGroup, RoundRobin};
 use lwt_sync::{SenseBarrier, SpinLock};
 use lwt_ultcore::{
-    enter_worker, join_within, may_exit, run_ult, suspended_stragglers, wait_until, DrainError,
+    enter_worker, join_within, may_exit, run_ult, suspended_stragglers, DrainError,
     PollTask, Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
 };
 
@@ -150,7 +150,7 @@ pub struct UltHandle<T> {
 }
 
 impl<T> UltHandle<T> {
-    /// Wait for completion (yielding when inside a ULT) and take the
+    /// Wait for completion (suspended when inside a ULT) and take the
     /// result, surfacing an escaped panic as a [`JoinError`] instead of
     /// re-raising it.
     ///
@@ -164,7 +164,7 @@ impl<T> UltHandle<T> {
     ///
     /// [`JoinError`] carrying the panic payload.
     pub fn try_join(self) -> Result<T, JoinError> {
-        wait_until(|| self.ult.is_terminated());
+        self.ult.join_wait();
         lwt_metrics::span::on_join(self.ult.span_id());
         if let Some(p) = self.ult.take_panic() {
             return Err(JoinError::new(p));
@@ -388,7 +388,7 @@ impl Runtime {
     /// The barrier episode costs O(processors) — the linear join the
     /// paper measures for Converse Threads in Fig. 3.
     pub fn barrier(&self) {
-        self.inner.barrier_requested.fetch_add(1, Ordering::AcqRel);
+        self.inner.barrier_requested.fetch_add(1, Ordering::SeqCst);
         // Every processor owes the episode a visit — parked ones
         // included. Wake them all; backstop timeouts are defense in
         // depth, not how barriers are supposed to make progress.
@@ -501,6 +501,22 @@ impl Runtime {
     }
 }
 
+impl RtInner {
+    /// One work unit retired. Quiescence is a wake condition: the
+    /// processors that found a barrier requested but work outstanding
+    /// went back to sleep, and only the retirement that balances the
+    /// ledger can tell them the episode may start (else they sit out
+    /// their park backstop, 20 ms per barrier).
+    fn retire(&self) {
+        if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.barrier_requested.load(Ordering::SeqCst)
+                > self.barrier_completed.load(Ordering::SeqCst)
+        {
+            self.park.unpark_all();
+        }
+    }
+}
+
 impl Drop for RtInner {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
@@ -546,6 +562,11 @@ fn proc_main(inner: &Arc<RtInner>, p: usize) {
     let _guard = enter_worker(p, inner.clone());
     let heartbeat = lwt_chaos::register_worker("converse", p);
     let mut backoff = lwt_sync::Backoff::new();
+    // Barrier episodes this processor has been through. Its own count,
+    // not `barrier_completed`: the leader bumps that *after* releasing
+    // the others, and a processor re-checking in between would enter an
+    // episode nobody requested and sit in it, deaf to its queue.
+    let mut served = 0;
     loop {
         heartbeat.beat();
         if inner.abandon.load(Ordering::Acquire) {
@@ -564,13 +585,13 @@ fn proc_main(inner: &Arc<RtInner>, p: usize) {
                 emit(EventKind::TaskletExec, 0);
                 f();
                 lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Dispatch);
-                inner.outstanding.fetch_sub(1, Ordering::AcqRel);
+                inner.retire();
             }
             Some(ConvUnit::Ult(u)) => {
                 backoff.reset();
                 let claimed = run_ult(&u);
                 if claimed && u.is_terminated() {
-                    inner.outstanding.fetch_sub(1, Ordering::AcqRel);
+                    inner.retire();
                 }
             }
             Some(ConvUnit::Task(t)) => {
@@ -579,18 +600,18 @@ fn proc_main(inner: &Arc<RtInner>, p: usize) {
                 // timeline/metrics; a wake that requeues the task goes
                 // back through post_task and re-increments outstanding.
                 t.run();
-                inner.outstanding.fetch_sub(1, Ordering::AcqRel);
+                inner.retire();
             }
             None => {
                 // Quiescent? Serve a pending barrier episode.
-                if inner.barrier_requested.load(Ordering::Acquire)
-                    > inner.barrier_completed.load(Ordering::Acquire)
+                if inner.barrier_requested.load(Ordering::Acquire) > served
                     && inner.outstanding.load(Ordering::Acquire) == 0
                 {
                     let mut relax = lwt_sync::AdaptiveRelax::new();
                     if inner.barrier.wait(move || relax.relax()) {
                         inner.barrier_completed.fetch_add(1, Ordering::AcqRel);
                     }
+                    served += 1;
                     continue;
                 }
                 if inner.stop.load(Ordering::Acquire)

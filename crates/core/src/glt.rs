@@ -1,7 +1,7 @@
 //! The generic LWT interface over the five runtime backends.
 
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use lwt_fiber::StackSize;
@@ -313,8 +313,8 @@ impl<T> EventSlot<T> {
         self.done.set();
     }
 
-    fn try_wait(&self, relax: impl FnMut()) -> Result<T, JoinError> {
-        self.done.wait(relax);
+    fn try_wait(&self) -> Result<T, JoinError> {
+        wait_event(&self.done);
         lwt_metrics::span::on_join(self.span);
         if let Some(p) = self.panicked.lock().take() {
             return Err(JoinError::new(p));
@@ -395,9 +395,9 @@ impl<T> GltHandle<T> {
             HandleInner::AbtTasklet(h) => h.try_join(),
             HandleInner::Qth(h) => h.try_join(),
             HandleInner::Myth(h) => h.try_join(),
-            HandleInner::Event(slot, kind) => slot.try_wait(relax_for(kind)),
-            HandleInner::Async(outcome, kind) => {
-                outcome.done().wait(relax_for(kind));
+            HandleInner::Event(slot, _) => slot.try_wait(),
+            HandleInner::Async(outcome, _) => {
+                wait_event(outcome.done());
                 lwt_metrics::span::on_join(outcome.span_id());
                 match outcome.take().expect("async result already taken") {
                     Ok(v) => Ok(v),
@@ -489,24 +489,13 @@ impl<T> std::fmt::Debug for GltHandle<T> {
     }
 }
 
-/// The relax used while waiting on event-backed and async joins: yield
-/// the ULT when waiting from inside one, else yield the OS thread. Go
-/// deliberately exposes no yield, but a GLT join still must not wedge a
-/// scheduler thread when called from inside a goroutine, so the
-/// fallback arm reaches for the shared-core reschedule the ultcore
-/// backends (Qthreads/MassiveThreads/Converse/Go) all use; Argobots
-/// keeps its own fiber layer and needs its own yield.
-fn relax_for(kind: BackendKind) -> impl FnMut() {
-    let mut escalate = lwt_sync::AdaptiveRelax::new();
-    move || {
-        match kind {
-            BackendKind::Argobots if lwt_argobots::in_ult() => lwt_argobots::yield_now(),
-            BackendKind::Converse if lwt_converse::in_ult() => lwt_converse::yield_now(),
-            _ if lwt_ultcore::in_ult() => lwt_ultcore::yield_now(),
-            _ => {}
-        }
-        escalate.relax();
-    }
+/// The wait under event-backed and async joins: the caller — a ULT of
+/// whichever backend, or a plain OS thread — is suspended on the event
+/// and resumed by `Event::set`. Go deliberately exposes no yield, but
+/// a goroutine blocked in a GLT join is parked like one blocked on a
+/// channel, so it never wedges a scheduler thread.
+fn wait_event(done: &Event) {
+    done.wait(|| block_unit_on(|cx| done.poll_set(cx)));
 }
 
 /// Yield the currently-running work unit back to its scheduler,
@@ -535,25 +524,6 @@ pub fn yield_unit() -> bool {
     }
 }
 
-thread_local! {
-    /// The calling OS thread's unpark waker, built once per thread so
-    /// a blocking wait from a plain thread allocates only the first
-    /// time.
-    static THREAD_WAKER: Waker = Waker::from(Arc::new(ThreadUnpark(std::thread::current())));
-}
-
-struct ThreadUnpark(std::thread::Thread);
-
-impl Wake for ThreadUnpark {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.0.unpark();
-    }
-}
-
 /// Block the calling context on a poll function, suspending *the unit,
 /// not the worker*: the one wait primitive for code layered above the
 /// GLT API (every synchronous `lwt-net` socket call is this function
@@ -577,20 +547,11 @@ impl Wake for ThreadUnpark {
 /// once, never as lost. Spurious re-polls are possible and harmless.
 /// The steady state allocates nothing: a ULT's waker is a clone of
 /// its own `Arc`.
-pub fn block_unit_on<T>(mut poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
-    let (waker, suspend): (Waker, fn()) = if lwt_argobots::in_ult() {
-        (lwt_argobots::unit_waker(), lwt_argobots::self_suspend)
-    } else if lwt_ultcore::in_ult() {
-        (lwt_ultcore::unit_waker(), lwt_ultcore::suspend)
+pub fn block_unit_on<T>(poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
+    if lwt_argobots::in_ult() {
+        lwt_argobots::block_on(poll)
     } else {
-        (THREAD_WAKER.with(Waker::clone), std::thread::park)
-    };
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        if let Poll::Ready(out) = poll(&mut cx) {
-            return out;
-        }
-        suspend();
+        lwt_ultcore::block_on(poll)
     }
 }
 

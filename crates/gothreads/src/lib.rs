@@ -22,8 +22,10 @@
 //!   injector instead of lock waits.
 //! * **No user-visible yield** — the paper's Table I marks Go as the
 //!   only LWT library without one ("not even offering the common yield
-//!   function"). Goroutines still *implicitly* yield inside blocking
-//!   channel operations, exactly as in Go.
+//!   function"). A goroutine that blocks in a channel operation or a
+//!   [`WaitGroup`] wait is parked off the run queues and made runnable
+//!   again by the operation that unblocks it, exactly as in Go
+//!   (`gopark`/`goready`).
 //! * **Out-of-order channel synchronization** ([`Sender`]/[`Receiver`])
 //!   — the completion-notification mechanism the paper credits for
 //!   Go's efficient join (Fig. 3): the master receives one message per
@@ -63,9 +65,9 @@ use lwt_metrics::EventKind;
 use lwt_sched::{near_first, ParkGroup, ReadyQueue};
 use lwt_sync::{Channel, CountLatch, RecvError, SendError, SpinLock};
 use lwt_ultcore::{
-    current_worker, enter_worker, in_ult, join_within, may_exit, run_unit, suspended_stragglers,
-    wait_until, DrainError, PollTask, ReadyUnit, Requeue, Straggler, TaskResched, UltCore,
-    ABANDON_GRACE,
+    block_on, current_worker, enter_worker, join_within, may_exit, run_unit,
+    suspended_stragglers, DrainError, PollTask, ReadyUnit, Requeue, Straggler, TaskResched,
+    UltCore, ABANDON_GRACE,
 };
 
 /// Runtime configuration.
@@ -251,8 +253,8 @@ impl Runtime {
     /// Stop scheduler threads and join them. Idempotent.
     ///
     /// Goroutines still queued (and never awaited) may not run.
-    /// Unbounded: a goroutine that never finishes (yield-looping on a
-    /// lost channel message) makes this wait forever — use
+    /// Unbounded: a goroutine that never finishes (parked on a lost
+    /// channel message) makes this wait forever — use
     /// [`Runtime::shutdown_within`] to degrade gracefully instead.
     pub fn shutdown(&self) {
         if self.inner.shut.swap(true, Ordering::AcqRel) {
@@ -360,7 +362,11 @@ impl std::fmt::Debug for Runtime {
 
 impl Requeue for RtInner {
     fn requeue(&self, w: usize, u: Arc<UltCore>) {
-        self.queues[w].push(u.into());
+        // A rescheduled goroutine goes to the *back* of the worker's
+        // queue (the inbox), like Go's `Gosched` onto the global queue:
+        // pushed onto its own LIFO deque it would be popped right back,
+        // above the sibling it yielded to.
+        self.queues[w].inject(u.into());
         self.park.notify_near(w);
     }
 
@@ -445,20 +451,6 @@ fn worker_main(inner: &Arc<RtInner>, id: usize) {
     }
 }
 
-/// The implicit reschedule performed inside blocking channel
-/// operations: goroutines rotate through the global queue; external
-/// threads yield to the kernel. Not exposed — Go offers no user yield.
-fn go_relax() -> impl FnMut() {
-    let inside = in_ult();
-    let mut escalate = lwt_sync::AdaptiveRelax::new();
-    move || {
-        if inside {
-            lwt_ultcore::yield_now();
-        }
-        escalate.relax();
-    }
-}
-
 /// Sending half of a channel.
 pub struct Sender<T> {
     ch: Arc<Channel<T>>,
@@ -473,14 +465,14 @@ impl<T> Clone for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Send, blocking (by implicit reschedule) while the buffer is
-    /// full.
+    /// Send, parked (off the run queues; an external thread sleeps)
+    /// while the buffer is full.
     ///
     /// # Errors
     ///
     /// [`SendError`] when the channel is closed.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        self.ch.send(value, go_relax())
+        self.ch.send(value, || block_on(|cx| self.ch.poll_send_ready(cx)))
     }
 
     /// Non-blocking send attempt (`select` with `default`).
@@ -518,13 +510,14 @@ impl<T> Clone for Receiver<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Receive, blocking (by implicit reschedule) while empty.
+    /// Receive, parked (off the run queues; an external thread sleeps)
+    /// while empty.
     ///
     /// # Errors
     ///
     /// [`RecvError`] once the channel is closed and drained.
     pub fn recv(&self) -> Result<T, RecvError> {
-        self.ch.recv(go_relax())
+        self.ch.recv(|| block_on(|cx| self.ch.poll_recv_ready(cx)))
     }
 
     /// Non-blocking receive attempt.
@@ -580,10 +573,11 @@ impl WaitGroup {
         self.latch.count_down();
     }
 
-    /// Block until all completions arrive (`wg.Wait()`); reschedules
-    /// implicitly when called from a goroutine.
+    /// Block until all completions arrive (`wg.Wait()`); a goroutine
+    /// is parked until the last `done`.
     pub fn wait(&self) {
-        wait_until(|| self.latch.is_released());
+        self.latch
+            .wait(|| block_on(|cx| self.latch.poll_released(cx)));
     }
 }
 
@@ -738,8 +732,8 @@ pub enum Either<A, B> {
     Right(B),
 }
 
-/// A two-way `select { case <-a: …; case <-b: … }`: blocks (with the
-/// goroutine's implicit reschedule) until either channel yields a
+/// A two-way `select { case <-a: …; case <-b: … }`: blocks (the
+/// goroutine parked on both channels) until either channel yields a
 /// message, preferring whichever is ready first; alternates the polling
 /// order to avoid starving one arm.
 ///
@@ -747,7 +741,6 @@ pub enum Either<A, B> {
 ///
 /// [`RecvError`] once *both* channels are closed and drained.
 pub fn select2<A, B>(a: &Receiver<A>, b: &Receiver<B>) -> Result<Either<A, B>, RecvError> {
-    let mut relax = go_relax();
     let mut flip = false;
     loop {
         let (mut a_closed, mut b_closed) = (false, false);
@@ -778,7 +771,19 @@ pub fn select2<A, B>(a: &Receiver<A>, b: &Receiver<B>) -> Result<Either<A, B>, R
             return Err(RecvError);
         }
         flip = !flip;
-        relax();
+        // Park on every channel that can still deliver (a closed,
+        // drained one is "ready" forever and would make this a spin).
+        block_on(|cx| {
+            let a_ready = !a_closed && a.ch.poll_recv_ready(cx).is_ready();
+            let b_ready = !b_closed && b.ch.poll_recv_ready(cx).is_ready();
+            if !(a_ready || b_ready) {
+                return std::task::Poll::Pending;
+            }
+            // The arm that did not deliver still holds the waker.
+            a.ch.forget_waiter(cx.waker());
+            b.ch.forget_waiter(cx.waker());
+            std::task::Poll::Ready(())
+        });
     }
 }
 

@@ -54,7 +54,7 @@ use lwt_metrics::{clock, EventKind};
 use lwt_sched::{near_first, ParkGroup, ParkResult, RandomVictim, ReadyQueue};
 use lwt_sync::SpinLock;
 use lwt_ultcore::{
-    enter_worker, join_within, may_exit, run_unit, suspended_stragglers, wait_until, yield_to,
+    enter_worker, join_within, may_exit, run_unit, suspended_stragglers, yield_to,
     DrainError, PollTask, ReadyUnit, Requeue, ResultCell, Straggler, TaskResched, UltCore,
     ABANDON_GRACE,
 };
@@ -127,14 +127,15 @@ pub struct Handle<T> {
 impl<T> Handle<T> {
     /// Wait for completion (`myth_join`) and take the result, surfacing
     /// an escaped panic as a [`JoinError`] instead of re-raising it.
-    /// Inside a ULT the wait yields, letting the worker keep executing
-    /// (and stealing) other work.
+    /// Inside a ULT the joiner is suspended, letting the worker keep
+    /// executing (and stealing) other work until the joined unit's
+    /// completion requeues it.
     ///
     /// # Errors
     ///
     /// [`JoinError`] carrying the panic payload.
     pub fn try_join(self) -> Result<T, JoinError> {
-        wait_until(|| self.ult.is_terminated());
+        self.ult.join_wait();
         // Causal join edge: this context observed the unit's completion.
         lwt_metrics::span::on_join(self.ult.span_id());
         if let Some(p) = self.ult.take_panic() {
@@ -244,7 +245,7 @@ impl Runtime {
         emit(EventKind::UltSpawn, 0);
         self.inner.queues[0].inject(ult.clone().into());
         self.inner.park.notify_near(0);
-        wait_until(|| ult.is_terminated());
+        ult.join_wait();
         lwt_metrics::span::on_join(ult.span_id());
         if let Some(p) = ult.take_panic() {
             std::panic::resume_unwind(p);
@@ -366,8 +367,8 @@ impl Runtime {
     }
 
     /// Stop all workers and join their OS threads (`myth_fini`).
-    /// Idempotent. Unbounded: a ULT yield-looping on a join that can
-    /// never be satisfied keeps its queue occupied forever — use
+    /// Idempotent. Unbounded: a ULT suspended on a join that can
+    /// never be satisfied keeps its worker from exiting forever — use
     /// [`Runtime::shutdown_within`] to degrade gracefully instead.
     pub fn shutdown(&self) {
         if self.inner.shut.swap(true, Ordering::AcqRel) {
@@ -474,7 +475,7 @@ impl Requeue for RtInner {
     fn requeue(&self, worker: usize, u: Arc<UltCore>) {
         // Yielded/displaced ULTs go to the *back* of the current
         // worker's queue (the inbox): the owner pops its deque LIFO, so
-        // queued children run before a yield-looping joiner (progress),
+        // queued children run before the unit that yielded (progress),
         // and the displaced main flow becomes stealable once the owner
         // batches the inbox onto the deque — the paper's "another
         // thread steals the main task".

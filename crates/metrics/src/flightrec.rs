@@ -123,7 +123,7 @@ fn destination_dir() -> PathBuf {
 
 fn counters_json(c: &CounterSnapshot) -> String {
     format!(
-        "{{\"ults_created\":{},\"tasklets_created\":{},\"yields\":{},\
+        "{{\"ults_created\":{},\"tasklets_created\":{},\"yields\":{},\"wait_blocks\":{},\
          \"steal_attempts\":{},\"steal_hits\":{},\"os_threads_spawned\":{},\
          \"feb_blocks\":{},\"feb_wakes\":{},\"messages_executed\":{},\
          \"nested_regions\":{},\"nested_pool_level\":{},\
@@ -139,6 +139,7 @@ fn counters_json(c: &CounterSnapshot) -> String {
         c.ults_created,
         c.tasklets_created,
         c.yields,
+        c.wait_blocks,
         c.steal_attempts,
         c.steal_hits,
         c.os_threads_spawned,

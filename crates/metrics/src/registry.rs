@@ -34,6 +34,10 @@ pub struct Counters {
     pub tasklets_created: Counter,
     /// Voluntary yields back to a scheduler.
     pub yields: Counter,
+    /// Waits on an `lwt_sync::WaitList` (joins, events, FEBs, channels)
+    /// that found their condition false and suspended the caller —
+    /// one per suspension, so a join that blocks costs exactly one.
+    pub wait_blocks: Counter,
     /// Steal probes against a victim's deque.
     pub steal_attempts: Counter,
     /// Steal probes that found work.
@@ -128,6 +132,7 @@ impl Counters {
             ults_created: Counter::new(),
             tasklets_created: Counter::new(),
             yields: Counter::new(),
+            wait_blocks: Counter::new(),
             steal_attempts: Counter::new(),
             steal_hits: Counter::new(),
             os_threads_spawned: Counter::new(),
@@ -324,6 +329,8 @@ pub struct CounterSnapshot {
     pub tasklets_created: u64,
     /// [`Counters::yields`].
     pub yields: u64,
+    /// [`Counters::wait_blocks`].
+    pub wait_blocks: u64,
     /// [`Counters::steal_attempts`].
     pub steal_attempts: u64,
     /// [`Counters::steal_hits`].
@@ -400,6 +407,7 @@ impl CounterSnapshot {
             ults_created: self.ults_created.saturating_sub(earlier.ults_created),
             tasklets_created: self.tasklets_created.saturating_sub(earlier.tasklets_created),
             yields: self.yields.saturating_sub(earlier.yields),
+            wait_blocks: self.wait_blocks.saturating_sub(earlier.wait_blocks),
             steal_attempts: self.steal_attempts.saturating_sub(earlier.steal_attempts),
             steal_hits: self.steal_hits.saturating_sub(earlier.steal_hits),
             os_threads_spawned: self
@@ -474,6 +482,7 @@ pub fn snapshot() -> MetricsSnapshot {
             ults_created: c.ults_created.get(),
             tasklets_created: c.tasklets_created.get(),
             yields: c.yields.get(),
+            wait_blocks: c.wait_blocks.get(),
             steal_attempts: c.steal_attempts.get(),
             steal_hits: c.steal_hits.get(),
             os_threads_spawned: c.os_threads_spawned.get(),
@@ -519,6 +528,7 @@ pub fn reset() {
     c.ults_created.reset();
     c.tasklets_created.reset();
     c.yields.reset();
+    c.wait_blocks.reset();
     c.steal_attempts.reset();
     c.steal_hits.reset();
     c.os_threads_spawned.reset();

@@ -51,7 +51,7 @@ use lwt_metrics::EventKind;
 use lwt_sched::{ParkGroup, ReadyQueue, RoundRobin};
 use lwt_sync::{FebCell, FebTable, SpinLock};
 use lwt_ultcore::{
-    enter_worker, join_within, may_exit, run_unit, suspended_stragglers, wait_until, DrainError,
+    block_on, enter_worker, join_within, may_exit, run_unit, suspended_stragglers, DrainError,
     PollTask, ReadyUnit, Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
 };
 
@@ -138,15 +138,18 @@ impl<T> Handle<T> {
         // itself emits the FebBlock/FebWake ring events, span-tagged;
         // the counters stay here because they count *joins* that
         // blocked, the §IX-C formula the fidelity tests assert).
+        // A reader that finds the word empty is suspended on the cell
+        // and resumed by the fill (`block_on` over `poll_full`).
+        let until_full = || block_on(|cx| self.ret.poll_full(cx));
         if self.ret.is_full() {
-            self.ret.read_ff(relax());
+            self.ret.read_ff(until_full);
         } else {
             COUNTERS.feb_blocks.inc();
-            self.ret.read_ff(relax());
+            self.ret.read_ff(until_full);
             COUNTERS.feb_wakes.inc();
         }
         // … and TERMINATED is the memory-safety contract for the slot.
-        wait_until(|| self.ult.is_terminated());
+        self.ult.join_wait();
         // Causal join edge: this context observed the unit's completion.
         lwt_metrics::span::on_join(self.ult.span_id());
         if let Some(p) = self.ult.take_panic() {
@@ -177,18 +180,6 @@ impl<T> std::fmt::Debug for Handle<T> {
         f.debug_struct("qthreads::Handle")
             .field("finished", &self.is_finished())
             .finish()
-    }
-}
-
-/// Relax strategy for FEB waits: yield the ULT when inside one.
-fn relax() -> impl FnMut() {
-    let inside = in_ult();
-    let mut escalate = lwt_sync::AdaptiveRelax::new();
-    move || {
-        if inside {
-            yield_now();
-        }
-        escalate.relax();
     }
 }
 
@@ -565,7 +556,7 @@ impl std::fmt::Debug for Runtime {
 impl Requeue for RtInner {
     fn requeue(&self, w: usize, u: Arc<UltCore>) {
         // Yielded ULTs go to the *back* of their worker's queue (the
-        // inbox) so forked children run before a yield-looping joiner.
+        // inbox) so forked children run before the unit that yielded.
         self.queues[w].inject(u.into());
         self.park.notify_near(w);
     }

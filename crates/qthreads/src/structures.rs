@@ -18,8 +18,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lwt_sync::SpinLock;
-use lwt_ultcore::wait_until;
+use lwt_sync::{SpinLock, WaitList};
+use lwt_ultcore::block_on;
 
 use crate::yield_now;
 
@@ -33,6 +33,8 @@ use crate::yield_now;
 /// until the ledger balances and yields the reduced value.
 pub struct Sinc<T> {
     remaining: AtomicUsize,
+    /// Blocked [`Sinc::wait`]ers; fired when the ledger balances.
+    waiters: WaitList,
     acc: SpinLock<T>,
     reduce: Box<dyn Fn(&mut T, T) + Send + Sync>,
 }
@@ -43,6 +45,7 @@ impl<T: Send> Sinc<T> {
     pub fn new(identity: T, reduce: impl Fn(&mut T, T) + Send + Sync + 'static) -> Self {
         Sinc {
             remaining: AtomicUsize::new(0),
+            waiters: WaitList::new(),
             acc: SpinLock::new(identity),
             reduce: Box::new(reduce),
         }
@@ -62,12 +65,20 @@ impl<T: Send> Sinc<T> {
         (self.reduce)(&mut self.acc.lock(), value);
         let prev = self.remaining.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "Sinc::submit without a matching expect");
+        if prev == 1 {
+            self.waiters.wake_all();
+        }
     }
 
-    /// Wait (ULT-aware) until all expected contributions arrived, then
-    /// read the reduction with `f` (`qt_sinc_wait`).
+    /// Wait (suspended, when inside a ULT) until all expected
+    /// contributions arrived, then read the reduction with `f`
+    /// (`qt_sinc_wait`).
     pub fn wait<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        wait_until(|| self.remaining.load(Ordering::Acquire) == 0);
+        self.waiters.wait_until(
+            lwt_chaos::BlockKind::Event,
+            || self.remaining.load(Ordering::Acquire) == 0,
+            |poll| block_on(poll),
+        );
         f(&self.acc.lock())
     }
 

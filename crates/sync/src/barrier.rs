@@ -54,6 +54,14 @@ impl SenseBarrier {
         self.participants
     }
 
+    /// The current sense. Read *before* arriving it names the episode
+    /// the caller is about to join: that episode is over once the sense
+    /// differs (what a `relax` that blocks waits for).
+    #[must_use]
+    pub fn sense(&self) -> bool {
+        self.sense.load(Ordering::Acquire)
+    }
+
     /// Block (via `relax`) until all participants have arrived.
     ///
     /// Returns `true` for exactly one participant per episode (the last

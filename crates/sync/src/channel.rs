@@ -7,13 +7,15 @@
 //! completion message per work unit *in whatever order they finish*.
 //! [`Channel`] reproduces that: a bounded or unbounded MPMC queue with
 //! non-blocking `try_*` operations plus relax-parameterized blocking
-//! ones, so goroutine-model ULTs yield their worker instead of blocking
-//! it.
+//! ones; a goroutine-model runtime's relax blocks on the channel's
+//! [`WaitList`] (`poll_recv_ready`/`poll_send_ready`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::task::{Context, Poll, Waker};
 
 use crate::spin::SpinLock;
+use crate::waitlist::WaitList;
 
 /// Error returned by [`Channel::send`] when the channel is closed.
 #[derive(Debug, PartialEq, Eq)]
@@ -66,6 +68,8 @@ pub struct Channel<T> {
     queue: SpinLock<VecDeque<T>>,
     capacity: Option<usize>,
     closed: AtomicBool,
+    /// Fired by every send and close, and by receives that make room.
+    waiters: WaitList,
 }
 
 impl<T> Channel<T> {
@@ -76,6 +80,7 @@ impl<T> Channel<T> {
             queue: SpinLock::new(VecDeque::new()),
             capacity: None,
             closed: AtomicBool::new(false),
+            waiters: WaitList::new(),
         }
     }
 
@@ -88,12 +93,34 @@ impl<T> Channel<T> {
             queue: SpinLock::new(VecDeque::with_capacity(capacity.max(1))),
             capacity: Some(capacity.max(1)),
             closed: AtomicBool::new(false),
+            waiters: WaitList::new(),
         }
     }
 
     /// Close the channel: sends fail, receives drain then fail.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
+        self.waiters.wake_all();
+    }
+
+    /// `Ready` when a receive would not report `Empty`; else `cx`'s
+    /// waker waits for the next send, receive or close.
+    pub fn poll_recv_ready(&self, cx: &mut Context<'_>) -> Poll<()> {
+        self.waiters
+            .poll_until(cx, || !self.is_empty() || self.is_closed())
+    }
+
+    /// Take `waker` back off the channel (a waiter on several
+    /// channels that another one served).
+    pub fn forget_waiter(&self, waker: &Waker) {
+        self.waiters.remove(waker);
+    }
+
+    /// `Ready` when a send would not report `Full`.
+    pub fn poll_send_ready(&self, cx: &mut Context<'_>) -> Poll<()> {
+        self.waiters.poll_until(cx, || {
+            self.is_closed() || self.capacity.is_none_or(|cap| self.len() < cap)
+        })
     }
 
     /// Whether [`Channel::close`] has been called.
@@ -131,6 +158,8 @@ impl<T> Channel<T> {
             }
         }
         q.push_back(value);
+        drop(q);
+        self.waiters.wake_all();
         Ok(())
     }
 
@@ -160,9 +189,15 @@ impl<T> Channel<T> {
     /// [`TryRecvError::Empty`] when nothing is buffered;
     /// [`TryRecvError::Closed`] when closed *and* drained.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut q = self.queue.lock();
-        match q.pop_front() {
-            Some(v) => Ok(v),
+        let popped = self.queue.lock().pop_front();
+        match popped {
+            Some(v) => {
+                // Only a bounded channel has senders waiting for room.
+                if self.capacity.is_some() {
+                    self.waiters.wake_all();
+                }
+                Ok(v)
+            }
             None if self.is_closed() => Err(TryRecvError::Closed),
             None => Err(TryRecvError::Empty),
         }

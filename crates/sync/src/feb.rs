@@ -13,10 +13,12 @@ use std::collections::HashMap;
 use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use crate::spin::SpinLock;
 use crate::sysapi::{AtomicU8, UnsafeCell};
+use crate::waitlist::WaitList;
 
 const EMPTY: u8 = 0;
 const FULL: u8 = 1;
@@ -40,6 +42,8 @@ const MAX_INJECTED_STALLS: u32 = 3;
 pub struct FebCell<T> {
     state: AtomicU8,
     value: UnsafeCell<MaybeUninit<T>>,
+    /// Fired on every fill and every empty.
+    waiters: WaitList,
 }
 
 // SAFETY: the state machine grants exclusive access during BUSY and
@@ -57,6 +61,7 @@ impl<T> FebCell<T> {
         FebCell {
             state: AtomicU8::new(EMPTY),
             value: UnsafeCell::new(MaybeUninit::uninit()),
+            waiters: WaitList::new(),
         }
     }
 
@@ -66,6 +71,7 @@ impl<T> FebCell<T> {
         FebCell {
             state: AtomicU8::new(FULL),
             value: UnsafeCell::new(MaybeUninit::new(value)),
+            waiters: WaitList::new(),
         }
     }
 
@@ -73,6 +79,25 @@ impl<T> FebCell<T> {
     #[must_use]
     pub fn is_full(&self) -> bool {
         self.state.load(Ordering::Acquire) == FULL
+    }
+
+    /// `Ready` while the bit is full; else `cx`'s waker waits for the
+    /// next fill or empty. The body of a relax that blocks: the `*F*`
+    /// operations retry their acquire when it returns.
+    pub fn poll_full(&self, cx: &mut Context<'_>) -> Poll<()> {
+        self.waiters.poll_until(cx, || self.is_full())
+    }
+
+    /// [`FebCell::poll_full`] for the `*E*` operations: `Ready` while
+    /// the bit is empty.
+    pub fn poll_empty(&self, cx: &mut Context<'_>) -> Poll<()> {
+        self.waiters.poll_until(cx, || self.state.load(Ordering::Acquire) == EMPTY)
+    }
+
+    /// Leave `BUSY` for a stable state and wake blocked waiters.
+    fn settle(&self, state: u8) {
+        self.state.store(state, Ordering::Release);
+        self.waiters.wake_all();
     }
 
     /// Acquire the slot by moving `from` → `BUSY`, relaxing in between.
@@ -164,7 +189,7 @@ impl<T> FebCell<T> {
         // SAFETY: BUSY grants us exclusive access; the slot is empty so
         // no previous value needs dropping.
         unsafe { (*self.value.get()).write(value) };
-        self.state.store(FULL, Ordering::Release);
+        self.settle(FULL);
     }
 
     /// Write `value` unconditionally and mark full
@@ -193,7 +218,7 @@ impl<T> FebCell<T> {
             }
             (*self.value.get()).write(value);
         }
-        self.state.store(FULL, Ordering::Release);
+        self.settle(FULL);
     }
 
     /// Wait until full, then take the value and mark empty
@@ -202,7 +227,7 @@ impl<T> FebCell<T> {
         self.acquire_from(FULL, &mut relax);
         // SAFETY: exclusive via BUSY; the slot was full.
         let value = unsafe { (*self.value.get()).assume_init_read() };
-        self.state.store(EMPTY, Ordering::Release);
+        self.settle(EMPTY);
         value
     }
 
@@ -217,7 +242,7 @@ impl<T> FebCell<T> {
         }
         // SAFETY: exclusive via BUSY; the slot was full.
         let value = unsafe { (*self.value.get()).assume_init_read() };
-        self.state.store(EMPTY, Ordering::Release);
+        self.settle(EMPTY);
         Some(value)
     }
 
@@ -243,7 +268,7 @@ impl<T> FebCell<T> {
             // SAFETY: exclusive via BUSY; the slot was full.
             unsafe { (*self.value.get()).assume_init_drop() };
         }
-        self.state.store(EMPTY, Ordering::Release);
+        self.settle(EMPTY);
     }
 }
 
@@ -255,7 +280,7 @@ impl<T: Copy> FebCell<T> {
         // SAFETY: exclusive via BUSY; the slot was full; T: Copy so the
         // value stays initialized after the read.
         let value = unsafe { (*self.value.get()).assume_init() };
-        self.state.store(FULL, Ordering::Release);
+        self.settle(FULL);
         value
     }
 }

@@ -3,11 +3,15 @@
 //! These model the *status-flag* join family the paper contrasts with
 //! barriers: Argobots' `ABT_thread_free` polls the work-unit status
 //! word ([`Event`]); joining a whole batch is a countdown
-//! ([`CountLatch`]). Both are pure atomics — the waiter chooses how to
-//! relax, so ULTs can yield instead of blocking their worker.
+//! ([`CountLatch`]). The waiter chooses how to relax: OS threads spin
+//! or yield; a ULT runtime's relax *blocks* on the latch's [`WaitList`]
+//! (`poll_set`/`poll_released`): one suspend, one wake.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
+
+use crate::waitlist::WaitList;
 
 /// A one-shot "it happened" flag.
 ///
@@ -21,6 +25,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Default)]
 pub struct Event {
     set: AtomicBool,
+    waiters: WaitList,
 }
 
 impl Event {
@@ -29,13 +34,20 @@ impl Event {
     pub fn new() -> Self {
         Event {
             set: AtomicBool::new(false),
+            waiters: WaitList::new(),
         }
     }
 
-    /// Fire the event. Idempotent.
+    /// Fire the event and wake whoever blocked on it. Idempotent.
     #[inline]
     pub fn set(&self) {
         self.set.store(true, Ordering::Release);
+        self.waiters.wake_all();
+    }
+
+    /// `Ready` once fired; else `cx`'s waker waits for [`Event::set`].
+    pub fn poll_set(&self, cx: &mut Context<'_>) -> Poll<()> {
+        self.waiters.poll_until(cx, || self.is_set())
     }
 
     /// Whether the event has fired.
@@ -101,6 +113,7 @@ impl Event {
 #[derive(Debug)]
 pub struct CountLatch {
     remaining: AtomicUsize,
+    waiters: WaitList,
 }
 
 impl CountLatch {
@@ -110,11 +123,12 @@ impl CountLatch {
     pub fn new(count: usize) -> Self {
         CountLatch {
             remaining: AtomicUsize::new(count),
+            waiters: WaitList::new(),
         }
     }
 
     /// Record one completion. Returns `true` iff this call released the
-    /// latch.
+    /// latch (and woke whoever blocked on it).
     ///
     /// # Panics
     ///
@@ -124,7 +138,16 @@ impl CountLatch {
     pub fn count_down(&self) -> bool {
         let prev = self.remaining.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "CountLatch counted down past zero");
+        if prev == 1 {
+            self.waiters.wake_all();
+        }
         prev == 1
+    }
+
+    /// `Ready` once released; else `cx`'s waker waits for the
+    /// releasing countdown.
+    pub fn poll_released(&self, cx: &mut Context<'_>) -> Poll<()> {
+        self.waiters.poll_until(cx, || self.is_released())
     }
 
     /// Add `n` more expected countdowns (for dynamically discovered
@@ -153,6 +176,12 @@ impl CountLatch {
 
     /// Wait (via `relax`) until the latch releases.
     pub fn wait(&self, mut relax: impl FnMut()) {
+        if self.is_released() {
+            return;
+        }
+        // Slow path only, like `Event::wait`.
+        let _watch =
+            lwt_chaos::block_enter(lwt_chaos::BlockKind::Join, std::ptr::from_ref(self) as u64);
         while !self.is_released() {
             relax();
         }

@@ -24,6 +24,8 @@
 //! * [`FebCell`] / [`FebTable`] — Qthreads-style full/empty bits.
 //! * [`Channel`] — a Go-style MPMC channel with pluggable waiting.
 //! * [`CountLatch`] / [`Event`] — join counters and one-shot flags.
+//! * [`WaitList`] / [`block_on`] — the waker list those primitives
+//!   fire, and the poll → suspend loop that waits on it.
 //! * [`Parker`] — an OS-thread parker (OpenMP "passive" wait policy).
 //! * [`rng`] — deterministic in-repo PRNGs ([`rng::SplitMix64`],
 //!   [`rng::Xoshiro256StarStar`]) behind the hermetic no-external-deps
@@ -34,15 +36,13 @@
 //! ULTs must never block their underlying OS thread, so every blocking
 //! operation here takes a *relax strategy* — a closure invoked once per
 //! failed attempt. OS-thread users pass [`spin_relax`] or
-//! [`thread_yield_relax`]; LWT runtimes pass their own `yield`
-//! so the worker keeps executing other work units while one waits.
-//!
-//! The same discipline extends beyond this crate: `lwt-net`'s reactor
-//! waits (a ULT parked in `accept`/`read`/`write`) interleave the
-//! unit-level yield with [`AdaptiveRelax`] and report through the FEB
-//! wait counters (`feb_blocks`/`feb_wakes`), so an I/O wait is
-//! accounted and watchdog-registered exactly like a [`FebCell`] block
-//! — DESIGN.md §15 documents that contract.
+//! [`thread_yield_relax`]. LWT runtimes pass a relax that *suspends the
+//! unit* until the primitive's [`WaitList`] fires — e.g.
+//! `cell.read_ff(|| block_on(|cx| cell.poll_full(cx)))` with their own
+//! `block_on` — so a waiting unit sits in no queue and its worker runs
+//! (or parks) as if it were not there. `lwt-net`'s reactor waits follow
+//! the same publish → re-check → suspend protocol; DESIGN.md §15
+//! documents it once for all of them.
 
 #![warn(missing_docs)]
 
@@ -54,6 +54,7 @@ mod latch;
 mod parking;
 mod spin;
 mod sysapi;
+mod waitlist;
 
 pub use backoff::{AdaptiveRelax, Backoff};
 pub use barrier::SenseBarrier;
@@ -62,6 +63,7 @@ pub use feb::{FebCell, FebTable};
 pub use latch::{CountLatch, Event};
 pub use parking::Parker;
 pub use spin::{SpinLock, SpinLockGuard};
+pub use waitlist::{block_on, block_thread_on, WaitList};
 
 // The PRNG module moved down into lwt-chaos (the chaos engine needs it
 // and sits below this crate in the DAG); re-exported here so every

@@ -11,12 +11,12 @@
 #[cfg(not(lwt_model))]
 pub(crate) use std::cell::UnsafeCell;
 #[cfg(not(lwt_model))]
-pub(crate) use std::sync::atomic::{AtomicBool, AtomicU8};
+pub(crate) use std::sync::atomic::{fence, AtomicBool, AtomicU8};
 
 #[cfg(lwt_model)]
 pub(crate) use lwt_model::cell::UnsafeCell;
 #[cfg(lwt_model)]
-pub(crate) use lwt_model::sync::atomic::{AtomicBool, AtomicU8};
+pub(crate) use lwt_model::sync::atomic::{fence, AtomicBool, AtomicU8};
 
 /// One spin-wait hint. Model: a scheduler yield, so spin loops are
 /// explored (and bounded) instead of burning the search.

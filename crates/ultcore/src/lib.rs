@@ -10,11 +10,15 @@
 //! * [`WorkerCtx`]/[`enter_worker`] — the per-OS-thread executor
 //!   context with the **post-switch protocol** (see below).
 //! * [`run_ult`] — claim + switch into a ULT from a worker loop.
-//! * [`yield_now`]/[`wait_until`]/[`in_ult`]/[`current_worker`] — the
-//!   in-ULT primitives, parameterized by the runtime's requeue policy.
+//! * [`yield_now`]/[`in_ult`]/[`current_worker`] — the in-ULT
+//!   primitives, parameterized by the runtime's requeue policy.
 //! * [`suspend`]/[`awaken`]/[`unit_waker`] — park a ULT *off* every
 //!   queue (`CthSuspend`/`CthAwaken`) and the `Waker` that resumes it,
 //!   over the shared [`lwt_sched::UnitPark`] handshake.
+//! * [`block_on`]/[`UltCore::join_wait`] — every wait: poll, and on
+//!   `Pending` suspend the ULT (or park the plain thread) until the
+//!   awaited object's [`WaitList`] fires. A join is one suspend and
+//!   one wake.
 //! * [`TaskCell`]/[`ReadyUnit`]/[`run_unit`] ([`task`]) — the stackless
 //!   futures bridge: `core::future::Future`s dispatched from the same
 //!   ready queues as ULTs, with a hand-rolled waker vtable.
@@ -50,12 +54,14 @@ use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::task::{Wake, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 
 use lwt_fiber::{cache, init_context, switch, switch_final, CachedStack, RawContext, StackSize};
 use lwt_metrics::registry::{emit, timestamp_if_tracing, COUNTERS, SPAWN_LATENCY};
 use lwt_metrics::{span, timeline, EventKind};
+use lwt_chaos::BlockKind;
 use lwt_sched::UnitPark;
+use lwt_sync::WaitList;
 
 /// Work-unit lifecycle states.
 pub mod state {
@@ -124,6 +130,9 @@ pub struct UltCore {
     /// The suspend/awaken handshake ([`crate::suspend`] parks in the
     /// post-switch Block processing, [`crate::awaken`] unparks).
     park: UnitPark,
+    /// Whoever is blocked in [`UltCore::join_wait`]; fired once, right
+    /// after `TERMINATED` is published.
+    joiners: WaitList,
     /// Where a wake sends the unit: its runtime's hook (fixed at the
     /// first suspend — units never change runtimes; `Weak` so a parked
     /// unit cannot keep a finished runtime alive) and the worker it
@@ -179,6 +188,7 @@ impl UltCore {
             entry: UnsafeCell::new(Some(Box::new(f))),
             panic: UnsafeCell::new(None),
             park: UnitPark::new(),
+            joiners: WaitList::new(),
             home: OnceLock::new(),
             home_worker: AtomicUsize::new(0),
             spawn_ns: AtomicU64::new(timestamp_if_tracing()),
@@ -234,6 +244,15 @@ impl UltCore {
     #[must_use]
     pub fn is_terminated(&self) -> bool {
         self.state.load(Ordering::Acquire) == state::TERMINATED
+    }
+
+    /// Wait for the ULT to complete — the mechanism under every
+    /// ultcore-family join. A joiner inside a ULT is suspended and
+    /// requeued by the completing worker; one on a plain OS thread
+    /// sleeps in `thread::park`.
+    pub fn join_wait(&self) {
+        self.joiners
+            .wait_until(BlockKind::Join, || self.is_terminated(), |poll| block_on(poll));
     }
 
     /// Take the panic payload, if the entry closure panicked.
@@ -357,6 +376,9 @@ unsafe fn process_post(w: *mut WorkerCtx) {
         }
         Post::Terminated(u) => {
             u.state.store(state::TERMINATED, Ordering::Release);
+            // After the publication, so a joiner resumed by this wake
+            // finds TERMINATED; nobody waiting costs a fence and a load.
+            u.joiners.wake_all();
         }
         Post::Block(u) => {
             // SAFETY: worker fields are plain reads; `w` outlives this
@@ -648,39 +670,16 @@ pub fn current_worker() -> Option<usize> {
     }
 }
 
-/// Wait for `cond`: yielding inside a ULT, spin-then-yield on an OS
-/// thread — the external-master join discipline of the paper's
-/// microbenchmarks.
-///
-/// Slow-path waits register with the stall watchdog (`lwt-chaos`), so
-/// a join on a unit that never completes lands in the blocked-unit
-/// table instead of spinning invisibly.
-pub fn wait_until(cond: impl Fn() -> bool) {
-    if cond() {
-        return;
-    }
-    let _watch = lwt_chaos::block_enter(
-        lwt_chaos::BlockKind::Join,
-        std::ptr::from_ref(&cond) as u64,
-    );
+/// Drive `poll` to completion, suspending the caller after each
+/// `Pending`: a ULT through [`suspend`] (its waker [`awaken`]s it), a
+/// plain OS thread through `thread::park`. `poll` follows the future
+/// contract — publish `cx.waker()`, re-check, then `Pending` — which
+/// [`WaitList::poll_until`] and the `lwt-sync` `poll_*` methods do.
+pub fn block_on<T>(poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
     if in_ult() {
-        // Yield the ULT so the worker can run other units; if the wait
-        // drags on (the awaited unit lives on an OS thread that is not
-        // getting scheduled), escalate to napping so this worker stops
-        // monopolizing the core (see lwt_sync::AdaptiveRelax).
-        let mut relax = lwt_sync::AdaptiveRelax::new();
-        while !cond() {
-            yield_now();
-            if cond() {
-                break;
-            }
-            relax.relax();
-        }
+        lwt_sync::block_on(&unit_waker(), suspend, poll)
     } else {
-        let mut relax = lwt_sync::AdaptiveRelax::new();
-        while !cond() {
-            relax.relax();
-        }
+        lwt_sync::block_thread_on(poll)
     }
 }
 
@@ -960,7 +959,7 @@ mod tests {
             })
             .collect();
         for u in &ults {
-            wait_until(|| u.is_terminated());
+            u.join_wait();
         }
         assert_eq!(hits.load(Ordering::Relaxed), 100);
         rt.shutdown();
@@ -976,7 +975,7 @@ mod tests {
                 yield_now();
             }
         });
-        wait_until(|| u.is_terminated());
+        u.join_wait();
         rt.shutdown();
     }
 
@@ -989,7 +988,7 @@ mod tests {
             // SAFETY: before TERMINATED, sole writer.
             unsafe { c2.put(99) };
         });
-        wait_until(|| u.is_terminated());
+        u.join_wait();
         // SAFETY: TERMINATED observed; sole joiner.
         assert_eq!(unsafe { cell.take() }, Some(99));
         rt.shutdown();
@@ -999,7 +998,7 @@ mod tests {
     fn panic_is_captured_not_fatal() {
         let rt = MiniRt::new(1);
         let u = rt.spawn(|| panic!("inside ULT"));
-        wait_until(|| u.is_terminated());
+        u.join_wait();
         let p = u.take_panic().expect("panic captured");
         assert_eq!(p.downcast_ref::<&str>(), Some(&"inside ULT"));
         rt.shutdown();
@@ -1009,7 +1008,7 @@ mod tests {
     fn stale_hints_are_skipped() {
         let rt = MiniRt::new(1);
         let u = rt.spawn(|| {});
-        wait_until(|| u.is_terminated());
+        u.join_wait();
         // The unit already ran; a duplicate hint must not re-execute.
         assert!(!run_ult_from_external(&u));
         rt.shutdown();
@@ -1028,15 +1027,25 @@ mod tests {
     }
 
     #[test]
-    fn wait_until_external_spins() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = flag.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            f2.store(true, Ordering::Release);
+    fn a_ult_joiner_is_suspended_not_rescheduled() {
+        let rt = MiniRt::new(1);
+        let gate = Arc::new(AtomicBool::new(false));
+        let g2 = gate.clone();
+        let child = rt.spawn(move || {
+            while !g2.load(Ordering::Acquire) {
+                yield_now();
+            }
         });
-        wait_until(|| flag.load(Ordering::Acquire));
-        t.join().unwrap();
+        let c2 = child.clone();
+        let joiner = rt.spawn(move || c2.join_wait());
+        // The joiner leaves the queue; only the child keeps running.
+        while joiner.state.load(Ordering::Acquire) != state::BLOCKED {
+            std::thread::yield_now();
+        }
+        gate.store(true, Ordering::Release);
+        joiner.join_wait();
+        assert!(child.is_terminated());
+        rt.shutdown();
     }
 }
 
@@ -1132,7 +1141,7 @@ mod suspend_tests {
         }
         assert_eq!(progress.load(Ordering::SeqCst), 1);
         assert!(awaken(&u));
-        wait_until(|| u.is_terminated());
+        u.join_wait();
         assert_eq!(progress.load(Ordering::SeqCst), 2);
         rt.shutdown();
     }
@@ -1158,14 +1167,14 @@ mod suspend_tests {
                 // Wait for the wakeup to be consumed before the next,
                 // so each suspend pairs with one awaken.
                 let target = woken;
-                wait_until(|| {
-                    hits.load(Ordering::SeqCst) >= target || u.is_terminated()
-                });
+                while hits.load(Ordering::SeqCst) < target && !u.is_terminated() {
+                    std::thread::yield_now();
+                }
             } else {
                 std::thread::yield_now();
             }
         }
-        wait_until(|| u.is_terminated());
+        u.join_wait();
         assert_eq!(hits.load(Ordering::SeqCst), ROUNDS);
         rt.shutdown();
     }
@@ -1184,7 +1193,7 @@ mod suspend_tests {
         let u = UltCore::new(lwt_fiber::StackSize(16 * 1024), suspend);
         assert!(awaken(&u));
         rt.queues[0].inject(u.clone());
-        wait_until(|| u.is_terminated());
+        u.join_wait();
         assert!(!awaken(&u), "nothing left to wake");
         rt.shutdown();
     }
@@ -1216,7 +1225,7 @@ mod suspend_tests {
         };
         done.store(true, Ordering::Release);
         waker.wake();
-        wait_until(|| u.is_terminated());
+        u.join_wait();
         rt.shutdown();
     }
 }

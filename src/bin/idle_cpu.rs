@@ -11,7 +11,10 @@
 //! and four reader ULTs blocked in `read` on quiet connections — units
 //! waiting on I/O are suspended, so this must cost as little as the
 //! empty pool (the regression fence against anyone reintroducing a
-//! relax loop into the wait path). Prints one CSV row per window and
+//! relax loop into the wait path). And once more with **blocked
+//! joiners**: a ULT and a plain OS thread each joining a unit that
+//! sleeps through the window, held to 20 ms (the old yield-and-nap
+//! join loops burned 140–240 ms here). Prints one CSV row per window and
 //! asserts its CPU stays under a tolerance; after all runtimes
 //! finalize, asserts the park/unpark counters balance
 //! (`parks == unparks > 0`). Exits non-zero on violation, so CI can
@@ -89,6 +92,23 @@ fn idle_sockets_cpu_ms(glt: &Glt, idle_ms: u64) -> u64 {
     cpu_spent
 }
 
+/// Max CPU per blocked-joiners window.
+const JOIN_TOLERANCE_MS: u64 = 20;
+
+/// The blocked-joiners window: two units sleep through it (an OS
+/// sleep: no CPU), one joined from a ULT, one from a plain OS thread.
+fn blocked_joiners_cpu_ms(glt: &Glt, idle_ms: u64) -> u64 {
+    let nap = Duration::from_millis(idle_ms + 200);
+    let for_ult = glt.ult_create(move || std::thread::sleep(nap));
+    let for_thread = glt.ult_create(move || std::thread::sleep(nap));
+    let ult_joiner = glt.ult_create(move || for_ult.join());
+    let thread_joiner = std::thread::spawn(move || for_thread.join());
+    let cpu_spent = idle_window_cpu_ms(idle_ms);
+    ult_joiner.join();
+    thread_joiner.join().expect("joiner thread panicked");
+    cpu_spent
+}
+
 fn main() {
     let workers = lwt::microbench::env_usize("LWT_IDLE_WORKERS", 4);
     let idle_ms = lwt::microbench::env_usize("LWT_IDLE_MS", 800) as u64;
@@ -112,11 +132,13 @@ fn main() {
 
         let pool_cpu = idle_window_cpu_ms(idle_ms);
         let sockets_cpu = idle_sockets_cpu_ms(&glt, idle_ms);
+        let joiners_cpu = blocked_joiners_cpu_ms(&glt, idle_ms);
         glt.finalize().expect("clean drain");
 
-        for (series, cpu_spent, culprit) in [
-            ("", pool_cpu, "idle workers are spinning"),
-            ("+sockets", sockets_cpu, "units blocked on I/O are spinning"),
+        for (series, cpu_spent, tol_ms, culprit) in [
+            ("", pool_cpu, tol_ms, "idle workers are spinning"),
+            ("+sockets", sockets_cpu, tol_ms, "units blocked on I/O are spinning"),
+            ("+joiners", joiners_cpu, JOIN_TOLERANCE_MS, "blocked joiners are spinning"),
         ] {
             println!("idle_cpu,{}{series},{workers},{idle_ms},{cpu_spent}", kind.name());
             if cpu_spent > tol_ms {

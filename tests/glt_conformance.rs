@@ -238,6 +238,146 @@ fn yield_interleaves_rather_than_wedges() {
     }
 }
 
+#[test]
+fn yield_unit_runs_a_ready_sibling_before_returning() {
+    // One worker, one ready sibling: a yield that comes back without
+    // the sibling having run handed the CPU to nobody (the Go backend
+    // used to requeue a yielding goroutine onto its own LIFO deque and
+    // pop it straight back). The sibling is a tasklet where the
+    // backend has them: a Converse *ULT* is created in two stages (a
+    // message that performs the CthCreate), so it is not ready yet
+    // when its creator yields.
+    for kind in BackendKind::ALL {
+        let glt = Glt::builder(kind).workers(1).build();
+        let g = glt.clone();
+        let ran_first = glt
+            .ult_create(move || {
+                let ran = Arc::new(AtomicBool::new(false));
+                let r2 = ran.clone();
+                let sibling = g.tasklet_create(move || r2.store(true, Ordering::Release));
+                assert!(lwt::core::yield_unit(), "not inside a unit on {kind}");
+                let ran_first = ran.load(Ordering::Acquire);
+                sibling.join();
+                ran_first
+            })
+            .join();
+        assert!(ran_first, "yield_unit returned before the ready sibling ran on {kind}");
+        glt.finalize().expect("clean drain");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A join is one suspend and one wake
+// ---------------------------------------------------------------------------
+
+/// An in-unit join of 64 children never yields and suspends the joiner
+/// at most once per child, on one worker and on two. Counters are
+/// process-global, so the body runs in a child process that executes
+/// only this test. Also tier-1's join-path smoke.
+#[test]
+fn in_unit_join_of_64_children_suspends_instead_of_yielding() {
+    const CHILD: &str = "CONFORMANCE_TEST_ISOLATED_CHILD";
+    const NAME: &str = "in_unit_join_of_64_children_suspends_instead_of_yielding";
+    if std::env::var_os(CHILD).is_none() {
+        let status = std::process::Command::new(std::env::current_exe().expect("current_exe"))
+            .args(["--exact", NAME])
+            .env(CHILD, "1")
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("re-exec test binary");
+        assert!(status.success(), "isolated child failed: {status}");
+        return;
+    }
+    for kind in BackendKind::ALL {
+        for workers in [1, 2] {
+            let glt = Glt::builder(kind).workers(workers).build();
+            let g = glt.clone();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let master = glt.ult_create(move || {
+                let children: Vec<_> = (0..64u64).map(|i| g.ult_create(move || i)).collect();
+                // MassiveThreads creates work-first (a `yield_to` per
+                // spawn), so only the joins are inside the window.
+                let before = lwt::metrics::snapshot().counters;
+                let sum: u64 = children.into_iter().map(|h| h.join()).sum();
+                let spent = lwt::metrics::snapshot().counters.delta(&before);
+                tx.send((sum, spent)).expect("test thread is listening");
+            });
+            // Not `master.join()` yet: this thread's own blocked join
+            // would count inside the master's window.
+            let (sum, spent) = rx.recv().expect("master ULT reports");
+            master.join();
+            assert_eq!(sum, 63 * 64 / 2, "on {kind} x{workers}");
+            assert_eq!(spent.yields, 0, "joins yielded on {kind} x{workers}");
+            assert!(
+                spent.wait_blocks <= 64,
+                "{} suspensions for 64 joins on {kind} x{workers}",
+                spent.wait_blocks
+            );
+            // On one worker nothing can have run the first child yet,
+            // so that join must really have blocked (MassiveThreads
+            // ran every child at its creation).
+            if workers == 1 && kind != BackendKind::MassiveThreads {
+                assert!(spent.wait_blocks >= 1, "no join blocked on {kind}");
+            }
+            glt.finalize().expect("clean drain");
+        }
+    }
+}
+
+#[test]
+fn in_unit_join_of_a_panicking_child_returns_a_join_error() {
+    // The joiner is suspended when the child panics (one worker: the
+    // child cannot have run before the join), so the error travels
+    // the wake path, not the already-finished fast path.
+    for kind in BackendKind::ALL {
+        let glt = Glt::builder(kind).workers(1).build();
+        let g = glt.clone();
+        let message = glt
+            .ult_create(move || {
+                let child = g.ult_create(|| -> () { panic!("in-unit boom") });
+                let err = child.try_join().expect_err("panicking child must join Err");
+                err.message().map(str::to_owned)
+            })
+            .join();
+        assert_eq!(message.as_deref(), Some("in-unit boom"), "backend {kind}");
+        glt.finalize().expect("clean drain");
+    }
+}
+
+/// The drain contract covers suspended joiners: one blocked on a unit
+/// that never finishes sits in no queue, yet `finalize` neither exits
+/// early nor hangs — it waits out its deadline and names the unit.
+#[test]
+fn finalize_reports_a_joiner_suspended_on_a_never_finishing_unit() {
+    use std::time::{Duration, Instant};
+    for kind in BackendKind::ALL {
+        let deadline = Duration::from_millis(200);
+        let glt = Glt::builder(kind).workers(2).drain_timeout(deadline).build();
+        // The never-finishing unit waits off-pool, so the only thing
+        // holding the drain is the suspended joiner.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let stuck = glt.spawn_blocking(move || {
+            let _ = gate.recv();
+        });
+        let joiner = glt.ult_create(move || stuck.join());
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        let err = glt.finalize().expect_err("a joiner is still suspended");
+        let waited = started.elapsed();
+        assert!(waited >= deadline, "drain exited early on {kind}: {waited:?}");
+        assert!(waited < Duration::from_secs(10), "drain hung on {kind}: {waited:?}");
+        let suspended: usize = err
+            .stragglers
+            .iter()
+            .filter(|s| s.what.contains("suspended"))
+            .map(|s| s.pending)
+            .sum();
+        assert_eq!(suspended, 1, "on {kind}: {err}");
+        assert!(!joiner.is_finished());
+        drop(release);
+    }
+}
+
 /// Yields `remaining` times (self-waking before each `Pending`), then
 /// resolves to `value` — exercises the requeue path without external
 /// help.
