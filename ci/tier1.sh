@@ -272,6 +272,31 @@ if [ "$RELAX_USERS" != "$RELAX_ALLOWED" ]; then
 fi
 echo "   ok: joins suspend on every backend; AdaptiveRelax only in control-plane and bounded waits"
 
+echo "== tier1: one-copy stage (worker loop, lifecycle and task posting exist once)"
+# The worker loop, the shutdown ladder and task posting live in
+# lwt_ultcore::engine and nowhere else. Each of these calls is the
+# fingerprint of one of them — the reactor poll and the watchdog
+# registration of a worker loop, the poll-join of a bounded drain — so
+# each may be *called* from exactly one file under crates/*/src; and
+# the names of the per-backend copies the engine replaced must match
+# nothing. A sixth copy fails this gate instead of a review.
+ENGINE="crates/ultcore/src/engine.rs"
+for call in 'lwt_sched::io_poll()' 'lwt_chaos::register_worker(' 'join_within('; do
+    CALLERS=$(grep -rlF "$call" crates/*/src | sort | tr '\n' ' ')
+    if [ "$CALLERS" != "$ENGINE " ]; then
+        echo "FAIL: \`$call\` is called from: $CALLERS" >&2
+        echo "      (allowed: $ENGINE)" >&2
+        exit 1
+    fi
+done
+COPIES=$(grep -rnE 'fn (task_poster|worker_main|proc_main)' crates/*/src || true)
+if [ -n "$COPIES" ]; then
+    echo "FAIL: a per-backend worker loop or task poster is back:" >&2
+    printf '%s\n' "$COPIES" >&2
+    exit 1
+fi
+echo "   ok: one worker loop, one lifecycle, one task-posting path ($ENGINE)"
+
 echo "== tier1: spawn-path smoke (fig2_create vs committed baseline)"
 # One quick fig2_create bench run; the spawn path must not regress
 # >25% (geometric mean of per-series median ratios) against the

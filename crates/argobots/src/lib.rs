@@ -30,6 +30,12 @@
 //! structure is freed with the handle (`ABT_thread_free` ≙ join +
 //! drop).
 //!
+//! The streams run the shared worker loop and lifecycle
+//! (`lwt_ultcore::engine`); their policy is "whatever the scheduler on
+//! top of the stream's stack picks". The work-unit record and the
+//! post-switch protocol (`stream.rs`, `unit.rs`) are still this
+//! crate's own.
+//!
 //! ## Example
 //!
 //! ```

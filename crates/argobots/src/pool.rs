@@ -3,7 +3,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use lwt_sched::{Injector, ParkGroup, SharedQueue};
+use lwt_sched::{Injector, SharedQueue};
+use lwt_ultcore::Control;
 
 use crate::unit::Unit;
 
@@ -50,7 +51,7 @@ pub(crate) struct PoolShared {
     /// may consume and the scanning wake-one applies). Pushes before
     /// installation skip the wake — at that point no stream has had a
     /// chance to park.
-    waker: OnceLock<(Arc<ParkGroup>, Option<usize>)>,
+    waker: OnceLock<(Arc<Control>, Option<usize>)>,
     /// ULTs whose home is this pool and that are suspended — in no
     /// queue, so invisible to `len`. The drain contract: a stream does
     /// not exit on `stop` while one of its pools still counts any.
@@ -88,8 +89,8 @@ impl PoolShared {
     /// `owner` is the consuming stream for MPSC pools — only its
     /// parker is worth waking, exactly like a Converse processor
     /// queue — and `None` for the shared pool.
-    pub(crate) fn set_waker(&self, park: Arc<ParkGroup>, owner: Option<usize>) {
-        let _ = self.waker.set((park, owner));
+    pub(crate) fn set_waker(&self, ctl: Arc<Control>, owner: Option<usize>) {
+        let _ = self.waker.set((ctl, owner));
     }
 
     pub(crate) fn push(&self, unit: Unit) {
@@ -99,10 +100,10 @@ impl PoolShared {
         }
         // Push first, then wake (see ParkGroup docs for why this order
         // prevents lost wakes).
-        if let Some((park, owner)) = self.waker.get() {
+        if let Some((ctl, owner)) = self.waker.get() {
             match owner {
-                Some(stream) => park.notify_worker(*stream),
-                None => park.notify(),
+                Some(stream) => ctl.park.notify_worker(*stream),
+                None => ctl.park.notify(),
             }
         }
     }

@@ -17,15 +17,15 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use lwt_fiber::{switch, switch_final, RawContext};
 use lwt_metrics::registry::{emit, COUNTERS};
 use lwt_metrics::{span, timeline, EventKind};
-use lwt_sched::{ParkGroup, ParkResult};
-use lwt_sync::{Backoff, SpinLock};
+use lwt_sync::SpinLock;
+use lwt_ultcore::{worker_loop, Control, Policy};
 
 use crate::pool::PoolShared;
 use crate::sched::{BasicScheduler, Pick, SchedContext, Scheduler};
@@ -70,18 +70,70 @@ fn es_ptr() -> *mut EsCtx {
 /// Shared state of one execution stream.
 pub(crate) struct StreamShared {
     pub(crate) id: usize,
-    pub(crate) stop: AtomicBool,
-    /// Degradation switch: when the [`crate::Runtime::shutdown_within`]
-    /// drain deadline expires, the stream breaks out of its loop even
-    /// with units still pooled (between units — never mid-ULT).
-    pub(crate) abandon: AtomicBool,
     /// Pools this stream drains, own pool first. Fixed at creation.
     pub(crate) pools: Vec<Arc<PoolShared>>,
-    /// Runtime-wide park group; slot `id` is this stream's parker.
-    pub(crate) park: Arc<ParkGroup>,
+    /// Runtime-wide stop/abandon flags and park group; slot `id` is
+    /// this stream's parker. (Streams beyond the park group's capacity
+    /// — heavy `stream_create` use — degrade to a bounded nap inside
+    /// `park`.) Pushes into any of this stream's pools fire the pool's
+    /// wake hook.
+    pub(crate) ctl: Arc<Control>,
     /// Schedulers pushed by `Runtime::push_scheduler`, adopted by the
     /// stream loop (stacked on top of the current one).
     pub(crate) mailbox: SpinLock<Vec<Box<dyn Scheduler>>>,
+}
+
+/// One stream's scheduling policy: whatever the scheduler on top of
+/// its stack picks — the pluggable, stackable part of Table I.
+struct Stream<'a> {
+    shared: &'a StreamShared,
+    es: *mut EsCtx,
+    ctx: SchedContext,
+    scheds: Vec<Box<dyn Scheduler>>,
+}
+
+impl Policy for Stream<'_> {
+    type Unit = Unit;
+    /// Pools are the placement unit; streams do not steal.
+    const STEALS: bool = false;
+
+    fn next(&mut self) -> Option<Unit> {
+        {
+            let mut mb = self.shared.mailbox.lock();
+            while let Some(s) = mb.pop() {
+                self.scheds.push(s);
+            }
+        }
+        loop {
+            let top = self.scheds.last_mut().expect("scheduler stack never empties");
+            match top.pick(&self.ctx) {
+                Pick::Run(unit) => return Some(unit.0),
+                Pick::Idle => return None,
+                // Pop back to the previous scheduler and ask it. The
+                // base scheduler never reports Done.
+                Pick::Done if self.scheds.len() > 1 => {
+                    let mut done = self.scheds.pop().expect("non-empty stack");
+                    done.unload(&self.ctx);
+                }
+                Pick::Done => return None,
+            }
+        }
+    }
+
+    fn run(&mut self, unit: Unit) {
+        // SAFETY: `es` is live for the whole loop; no aliasing &mut
+        // exists while execute runs (ULTs reach it only via the same
+        // raw pointer).
+        unsafe { execute(self.es, unit) };
+    }
+
+    fn reachable(&self) -> usize {
+        self.shared.pools.iter().map(|p| p.len()).sum()
+    }
+
+    fn drained(&self) -> bool {
+        self.shared.pools.iter().all(|p| p.is_drained())
+    }
 }
 
 /// The stream main loop, run on a dedicated OS thread.
@@ -96,89 +148,21 @@ pub(crate) fn es_main(shared: &StreamShared) {
     emit(EventKind::EsStart, shared.id as u64);
     timeline::enter(timeline::WorkerState::Dispatch);
 
-    let ctx = SchedContext {
-        pools: shared.pools.clone(),
+    let stream = Stream {
+        shared,
+        es,
+        ctx: SchedContext {
+            pools: shared.pools.clone(),
+        },
+        scheds: vec![Box::new(BasicScheduler::new())],
     };
-    let mut scheds: Vec<Box<dyn Scheduler>> = vec![Box::new(BasicScheduler::new())];
-    let heartbeat = lwt_chaos::register_worker("argobots", shared.id);
-    let mut backoff = Backoff::new();
-    loop {
-        heartbeat.beat();
-        if shared.abandon.load(Ordering::Acquire) {
-            break;
-        }
-        {
-            let mut mb = shared.mailbox.lock();
-            while let Some(s) = mb.pop() {
-                scheds.push(s);
-            }
-        }
-        let pick = scheds
-            .last_mut()
-            .expect("scheduler stack never empties")
-            .pick(&ctx);
-        match pick {
-            Pick::Run(unit) => {
-                backoff.reset();
-                if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
-                    std::thread::yield_now();
-                }
-                // SAFETY: `es` is live for the whole loop; no aliasing
-                // &mut exists while execute runs (ULTs reach it only
-                // via the same raw pointer).
-                unsafe { execute(es, unit.0) };
-            }
-            Pick::Idle => {
-                if shared.stop.load(Ordering::Acquire)
-                    && shared.pools.iter().all(|p| p.is_drained())
-                {
-                    break;
-                }
-                timeline::enter(timeline::WorkerState::Idle);
-                // Reactor idle hook: collect I/O readiness (wakes
-                // repost through this runtime) before backing off.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // The scheduler proved its pools dry: park instead of
-                    // burning the core. Pushes into any of this stream's
-                    // pools fire the pool's wake hook; stop/abandon
-                    // arrive as `unpark_all` tokens from the shutdown
-                    // paths, so the backstop timeout is defense in depth
-                    // only. (Streams beyond the park group's capacity —
-                    // heavy `stream_create` use — degrade to a bounded
-                    // nap inside `park`.)
-                    let res = shared.park.park(shared.id, Some(&heartbeat), || {
-                        shared.pools.iter().map(|p| p.len()).sum()
-                    });
-                    if matches!(res, ParkResult::FoundWork | ParkResult::Woken) {
-                        backoff.reset();
-                    }
-                }
-            }
-            Pick::Done => {
-                if scheds.len() > 1 {
-                    let mut done = scheds.pop().expect("non-empty stack");
-                    done.unload(&ctx);
-                } else if shared.stop.load(Ordering::Acquire) {
-                    break;
-                } else {
-                    // The base scheduler reported Done spuriously; treat
-                    // as idle rather than leaving the stream dead.
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
+    worker_loop(&shared.ctl, shared.id, "argobots", stream);
 
     emit(EventKind::EsStop, shared.id as u64);
     timeline::retire();
     ES.with(|c| c.set(std::ptr::null_mut()));
     // SAFETY: `es` came from Box::into_raw above; no ULT still runs on
-    // this stream (the loop exits only when idle).
+    // this stream (the loop exits only between units).
     drop(unsafe { Box::from_raw(es) });
 }
 

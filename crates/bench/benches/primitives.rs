@@ -3,7 +3,7 @@
 //! the paper's Table I rows ("Global/Private Work Unit Queue") imply.
 
 use lwt_bench::{black_box, Harness};
-use lwt_sched::{ChaseLev, PrivateDeque, SharedQueue, StealableDeque};
+use lwt_sched::{ChaseLev, SharedQueue};
 
 const OPS: usize = 1024;
 
@@ -13,30 +13,6 @@ fn queue_roundtrip(h: &mut Harness) {
 
     group.bench_function("shared_locked_fifo", |b| {
         let q = SharedQueue::new();
-        b.iter(|| {
-            for i in 0..OPS {
-                q.push(i);
-            }
-            while let Some(v) = q.pop() {
-                black_box(v);
-            }
-        });
-    });
-
-    group.bench_function("private_unsynchronized", |b| {
-        let mut q = PrivateDeque::new();
-        b.iter(|| {
-            for i in 0..OPS {
-                q.push_back(i);
-            }
-            while let Some(v) = q.pop_front() {
-                black_box(v);
-            }
-        });
-    });
-
-    group.bench_function("stealable_locked_deque", |b| {
-        let q = StealableDeque::new();
         b.iter(|| {
             for i in 0..OPS {
                 q.push(i);

@@ -24,6 +24,11 @@
 //!   participate in — the mechanism behind Converse's linearly-growing
 //!   join time in the paper's Fig. 3.
 //!
+//! The processors run the shared worker loop and lifecycle
+//! (`lwt_ultcore::engine`) over their own queues; this crate is the
+//! message/ULT API and a policy — own queue only, no stealing, and a
+//! pending barrier episode served whenever the queue runs dry.
+//!
 //! ## Example
 //!
 //! ```
@@ -50,17 +55,17 @@ mod chare;
 
 pub use chare::Chare;
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
 use lwt_metrics::registry::{emit, COUNTERS};
 use lwt_metrics::EventKind;
-use lwt_sched::{Injector, ParkGroup, RoundRobin};
-use lwt_sync::{SenseBarrier, SpinLock};
+use lwt_sched::{Injector, RoundRobin};
+use lwt_sync::SenseBarrier;
 use lwt_ultcore::{
-    enter_worker, join_within, may_exit, run_ult, suspended_stragglers, DrainError,
-    PollTask, Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    enter_worker, may_exit, run_ult, straggler_table, worker_loop, Control, Crew, DrainError,
+    Policy, PollTask, Requeue, ResultCell, TaskHost, UltCore,
 };
 
 pub use lwt_ultcore::{current_worker as current_processor, in_ult, yield_now, JoinError};
@@ -106,19 +111,18 @@ enum ConvUnit {
     Task(Arc<dyn PollTask>),
 }
 
-struct Proc {
-    /// MPSC: any thread may send, only the owning processor pops.
-    queue: Injector<ConvUnit>,
-}
-
-struct RtInner {
-    procs: Vec<Arc<Proc>>,
+/// The runtime's state, as the processors share it.
+struct Procs {
+    /// One queue per processor. MPSC: any thread may send, only the
+    /// owning processor pops.
+    queues: Vec<Injector<ConvUnit>>,
     /// ULTs suspended on each processor ([`Requeue::suspended`]).
     suspended: Vec<AtomicUsize>,
-    /// Idle-processor parking. Converse queues are single-consumer, so
-    /// wakes are strictly targeted ([`ParkGroup::notify_worker`]):
-    /// waking anyone but the queue's owner cannot help.
-    park: ParkGroup,
+    /// Stop/abandon flags and idle-processor parking. Converse queues
+    /// are single-consumer, so wakes are strictly targeted
+    /// (`ParkGroup::notify_worker`): waking anyone but the queue's
+    /// owner cannot help.
+    ctl: Arc<Control>,
     stack_size: StackSize,
     /// Work units created but not yet fully executed; the quiescence
     /// condition for barrier entry.
@@ -127,14 +131,13 @@ struct RtInner {
     barrier_requested: AtomicUsize,
     barrier_completed: AtomicUsize,
     barrier: SenseBarrier,
-    threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
     rr: RoundRobin,
-    stop: AtomicBool,
-    shut: AtomicBool,
-    /// Degradation switch: set by [`Runtime::shutdown_within`] when the
-    /// drain deadline expires; processors break out of their loop even
-    /// with work still queued.
-    abandon: AtomicBool,
+}
+
+struct RtInner {
+    procs: Arc<Procs>,
+    /// The processors; dropping the last handle stops and joins them.
+    crew: Crew,
 }
 
 /// The Converse-model runtime. Cheap to clone.
@@ -214,43 +217,34 @@ impl Runtime {
     #[must_use]
     pub fn init(config: Config) -> Self {
         assert!(config.num_processors > 0, "need at least one processor");
-        let procs: Vec<Arc<Proc>> = (0..config.num_processors)
-            .map(|_| {
-                Arc::new(Proc {
-                    queue: Injector::new(),
-                })
-            })
-            .collect();
-        let inner = Arc::new(RtInner {
-            park: ParkGroup::new(procs.len()),
-            suspended: procs.iter().map(|_| AtomicUsize::new(0)).collect(),
-            procs,
+        let crew = Crew::new(config.num_processors);
+        let procs = Arc::new(Procs {
+            queues: (0..config.num_processors).map(|_| Injector::new()).collect(),
+            suspended: (0..config.num_processors).map(|_| AtomicUsize::new(0)).collect(),
+            ctl: crew.control().clone(),
             stack_size: config.stack_size,
             outstanding: AtomicUsize::new(0),
             barrier_requested: AtomicUsize::new(0),
             barrier_completed: AtomicUsize::new(0),
             // Processors + the external master.
             barrier: SenseBarrier::new(config.num_processors + 1),
-            threads: SpinLock::new(Vec::new()),
             rr: RoundRobin::new(config.num_processors),
-            stop: AtomicBool::new(false),
-            shut: AtomicBool::new(false),
-            abandon: AtomicBool::new(false),
         });
-        let rt = Runtime { inner };
-        let mut threads = rt.inner.threads.lock();
         for p in 0..config.num_processors {
-            let inner = rt.inner.clone();
-            COUNTERS.os_threads_spawned.inc();
-            threads.push(Some(
-                std::thread::Builder::new()
-                    .name(format!("cvt-p{p}"))
-                    .spawn(move || proc_main(&inner, p))
-                    .expect("spawn converse processor"),
-            ));
+            let procs = procs.clone();
+            crew.spawn(format!("cvt-p{p}"), move || {
+                let _guard = enter_worker(p, procs.clone());
+                let processor = Processor {
+                    procs: &procs,
+                    p,
+                    served: 0,
+                };
+                worker_loop(&procs.ctl, p, "converse", processor);
+            });
         }
-        drop(threads);
-        rt
+        Runtime {
+            inner: Arc::new(RtInner { procs, crew }),
+        }
     }
 
     /// [`Runtime::init`] with defaults.
@@ -262,7 +256,17 @@ impl Runtime {
     /// Number of processors.
     #[must_use]
     pub fn num_processors(&self) -> usize {
-        self.inner.procs.len()
+        self.inner.procs.queues.len()
+    }
+
+    /// Count `unit` as outstanding and queue it on processor `proc`.
+    fn enqueue(&self, proc: usize, unit: ConvUnit) {
+        let procs = &self.inner.procs;
+        procs.outstanding.fetch_add(1, Ordering::AcqRel);
+        procs.queues[proc].push(unit);
+        // Push first, then wake the owner if it is parked (see
+        // ParkGroup docs for why this order prevents lost wakes).
+        procs.ctl.park.notify_worker(proc);
     }
 
     /// Send a message to a specific processor's queue (`CmiSyncSend`).
@@ -275,11 +279,7 @@ impl Runtime {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.inner.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.inner.procs[proc].queue.push(ConvUnit::Message(Box::new(f)));
-        // Push first, then wake the owner if it is parked (see
-        // ParkGroup docs for why this order prevents lost wakes).
-        self.inner.park.notify_worker(proc);
+        self.enqueue(proc, ConvUnit::Message(Box::new(f)));
     }
 
     /// Send a message with round-robin processor selection — the
@@ -288,49 +288,7 @@ impl Runtime {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.send(self.inner.rr.next(), f);
-    }
-
-    /// Enqueue a stackless poll task: the calling processor's own
-    /// queue when called from one, otherwise round-robin like a master
-    /// dispatch. Each scheduled poll counts as outstanding work, so a
-    /// [`Runtime::barrier`] waits for already-queued polls (but not for
-    /// tasks parked on an external wake — those are not queued work).
-    pub fn post_task(&self, task: Arc<dyn PollTask>) {
-        match current_processor() {
-            Some(p) if p < self.inner.procs.len() => self.post_task_to(p, task),
-            _ => self.post_task_to(self.inner.rr.next(), task),
-        }
-    }
-
-    /// Enqueue a stackless poll task onto a specific processor's queue.
-    /// Tasks are message-like (stackless, executed atomically), so any
-    /// caller may target any processor — the paper's insertion rule
-    /// restricts only stackful ULTs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` is out of range.
-    pub fn post_task_to(&self, proc: usize, task: Arc<dyn PollTask>) {
-        self.inner.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.inner.procs[proc].queue.push(ConvUnit::Task(task));
-        self.inner.park.notify_worker(proc);
-    }
-
-    /// A reschedule hook posting via [`Runtime::post_task`]; holds the
-    /// runtime alive so late wakes (after user drop) still land.
-    #[must_use]
-    pub fn task_poster(&self) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task(t))
-    }
-
-    /// A reschedule hook pinning every (re)schedule to processor
-    /// `proc`.
-    #[must_use]
-    pub fn task_poster_to(&self, proc: usize) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task_to(proc, t))
+        self.send(self.inner.procs.rr.next(), f);
     }
 
     /// Create a ULT on the *calling* processor's queue (`CthCreate`).
@@ -369,15 +327,13 @@ impl Runtime {
         );
         let result = ResultCell::new();
         let slot = result.clone();
-        let ult = UltCore::with_span(self.inner.stack_size, span, move || {
+        let ult = UltCore::with_span(self.inner.procs.stack_size, span, move || {
             let value = f();
             // SAFETY: sole writer, before TERMINATED.
             unsafe { slot.put(value) };
         });
-        self.inner.outstanding.fetch_add(1, Ordering::AcqRel);
         emit(EventKind::UltSpawn, proc as u64);
-        self.inner.procs[proc].queue.push(ConvUnit::Ult(ult.clone()));
-        self.inner.park.notify_worker(proc);
+        self.enqueue(proc, ConvUnit::Ult(ult.clone()));
         UltHandle { ult, result }
     }
 
@@ -388,15 +344,13 @@ impl Runtime {
     /// The barrier episode costs O(processors) — the linear join the
     /// paper measures for Converse Threads in Fig. 3.
     pub fn barrier(&self) {
-        self.inner.barrier_requested.fetch_add(1, Ordering::SeqCst);
+        let procs = &self.inner.procs;
+        procs.barrier_requested.fetch_add(1, Ordering::SeqCst);
         // Every processor owes the episode a visit — parked ones
         // included. Wake them all; backstop timeouts are defense in
         // depth, not how barriers are supposed to make progress.
-        self.inner.park.unpark_all();
-        let mut relax = lwt_sync::AdaptiveRelax::new();
-        if self.inner.barrier.wait(move || relax.relax()) {
-            self.inner.barrier_completed.fetch_add(1, Ordering::AcqRel);
-        }
+        procs.ctl.park.unpark_all();
+        procs.enter_barrier();
     }
 
     /// Wait up to `deadline` for global quiescence (no outstanding work
@@ -411,7 +365,7 @@ impl Runtime {
             Arc::as_ptr(&self.inner) as u64,
         );
         let mut relax = lwt_sync::AdaptiveRelax::new();
-        while self.inner.outstanding.load(Ordering::Acquire) != 0 {
+        while self.inner.procs.outstanding.load(Ordering::Acquire) != 0 {
             if std::time::Instant::now() >= until {
                 return false;
             }
@@ -421,22 +375,11 @@ impl Runtime {
     }
 
     /// Stop all processors and join their threads (`ConverseExit`).
-    /// Idempotent. Waits unboundedly; see [`Runtime::shutdown_within`]
-    /// for a drain with a deadline.
+    /// Idempotent; also what dropping the last clone does. Waits
+    /// unboundedly; see [`Runtime::shutdown_within`] for a drain with
+    /// a deadline.
     pub fn shutdown(&self) {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // A fully parked pool must notice the flag now, not after a
-        // backstop timeout.
-        self.inner.park.unpark_all();
-        let mut threads = self.inner.threads.lock();
-        for t in threads.iter_mut() {
-            if let Some(t) = t.take() {
-                t.join().expect("converse processor panicked");
-            }
-        }
+        self.inner.crew.shutdown();
     }
 
     /// [`Runtime::shutdown`] with a drain deadline: processors get
@@ -449,59 +392,36 @@ impl Runtime {
     /// [`DrainError`] listing per-processor queue residue when the
     /// deadline expired before quiescence.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return Ok(());
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // Wake every sleeper *before* the drain deadline starts: a
-        // fully parked pool drains instantly instead of eating the
-        // deadline in 20–200 ms backstop increments.
-        self.inner.park.unpark_all();
-        let handles: Vec<_> = {
-            let mut threads = self.inner.threads.lock();
-            threads.iter_mut().filter_map(Option::take).collect()
-        };
-        let timed_out = !join_within(&handles, deadline);
-        if timed_out {
-            self.inner.abandon.store(true, Ordering::Release);
-            self.inner.park.unpark_all();
-            // Grace for workers idling between units to notice the flag.
-            join_within(&handles, ABANDON_GRACE);
-        }
-        for t in handles {
-            if t.is_finished() {
-                t.join().expect("converse processor panicked");
-            } else {
-                // Wedged inside a unit: detach rather than hang (never
-                // kill); the thread's Arcs keep its shared state alive.
-                drop(t);
-            }
-        }
-        if timed_out {
-            let stragglers = self
-                .inner
-                .procs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.queue.is_empty())
-                .map(|(worker, p)| Straggler {
-                    worker,
-                    pending: p.queue.len(),
-                    what: "processor queue",
-                })
-                .chain(suspended_stragglers(&self.inner.suspended))
-                .collect();
-            Err(DrainError {
-                waited: deadline,
-                stragglers,
-            })
-        } else {
-            Ok(())
-        }
+        self.inner.crew.shutdown_within(deadline, || {
+            let procs = &self.inner.procs;
+            straggler_table(
+                procs.queues.iter().map(Injector::len),
+                "processor queue",
+                procs.suspended.iter().map(|c| c.load(Ordering::Acquire)),
+            )
+        })
     }
 }
 
-impl RtInner {
+impl TaskHost for Runtime {
+    /// The calling processor's own queue when called from one,
+    /// otherwise round-robin like a master dispatch. Tasks are
+    /// message-like (stackless, executed atomically), so any caller
+    /// may target any processor — the paper's insertion rule restricts
+    /// only stackful ULTs. Each scheduled poll counts as outstanding
+    /// work, so a [`Runtime::barrier`] waits for already-queued polls
+    /// (but not for tasks parked on an external wake — those are not
+    /// queued work).
+    fn post_task(&self, pin: Option<usize>, task: Arc<dyn PollTask>) {
+        let proc = pin.unwrap_or_else(|| match current_processor() {
+            Some(p) if p < self.num_processors() => p,
+            _ => self.inner.procs.rr.next(),
+        });
+        self.enqueue(proc, ConvUnit::Task(task));
+    }
+}
+
+impl Procs {
     /// One work unit retired. Quiescence is a wake condition: the
     /// processors that found a barrier requested but work outstanding
     /// went back to sleep, and only the retirement that balances the
@@ -512,19 +432,16 @@ impl RtInner {
             && self.barrier_requested.load(Ordering::SeqCst)
                 > self.barrier_completed.load(Ordering::SeqCst)
         {
-            self.park.unpark_all();
+            self.ctl.park.unpark_all();
         }
     }
-}
 
-impl Drop for RtInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.park.unpark_all();
-        for t in self.threads.lock().iter_mut() {
-            if let Some(t) = t.take() {
-                let _ = t.join();
-            }
+    /// Sit out one barrier episode (the master and every processor
+    /// do); the leader books it as completed.
+    fn enter_barrier(&self) {
+        let mut relax = lwt_sync::AdaptiveRelax::new();
+        if self.barrier.wait(move || relax.relax()) {
+            self.barrier_completed.fetch_add(1, Ordering::AcqRel);
         }
     }
 }
@@ -533,23 +450,26 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("converse::Runtime")
             .field("processors", &self.num_processors())
-            .field("outstanding", &self.inner.outstanding.load(Ordering::Relaxed))
+            .field(
+                "outstanding",
+                &self.inner.procs.outstanding.load(Ordering::Relaxed),
+            )
             .finish()
     }
 }
 
-impl Requeue for RtInner {
+impl Requeue for Procs {
     fn requeue(&self, worker: usize, u: Arc<UltCore>) {
         // Yielded ULTs return to their current processor's queue —
         // ULTs never migrate through another queue (messages only).
-        self.procs[worker].queue.push(ConvUnit::Ult(u));
+        self.queues[worker].push(ConvUnit::Ult(u));
     }
 
     fn wake(&self, worker: usize, u: Arc<UltCore>) {
         // So do awakened ones (`CthAwaken`) — but the wake may come
         // from the reactor or a timer while the processor sleeps.
         self.requeue(worker, u);
-        self.park.notify_worker(worker);
+        self.ctl.park.notify_worker(worker);
     }
 
     fn suspended(&self, worker: usize) -> Option<&AtomicUsize> {
@@ -557,96 +477,81 @@ impl Requeue for RtInner {
     }
 }
 
-fn proc_main(inner: &Arc<RtInner>, p: usize) {
-    let proc = inner.procs[p].clone();
-    let _guard = enter_worker(p, inner.clone());
-    let heartbeat = lwt_chaos::register_worker("converse", p);
-    let mut backoff = lwt_sync::Backoff::new();
-    // Barrier episodes this processor has been through. Its own count,
-    // not `barrier_completed`: the leader bumps that *after* releasing
-    // the others, and a processor re-checking in between would enter an
-    // episode nobody requested and sit in it, deaf to its queue.
-    let mut served = 0;
-    loop {
-        heartbeat.beat();
-        if inner.abandon.load(Ordering::Acquire) {
-            break;
-        }
-        let unit = proc.queue.pop();
-        if unit.is_some() && lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
-            std::thread::yield_now();
-        }
+/// One processor's scheduling policy: its own queue and nothing else —
+/// Converse ULTs never migrate, so there is no steal phase.
+struct Processor<'a> {
+    procs: &'a Procs,
+    p: usize,
+    /// Barrier episodes this processor has been through. Its own count,
+    /// not `barrier_completed`: the leader bumps that *after* releasing
+    /// the others, and a processor re-checking in between would enter an
+    /// episode nobody requested and sit in it, deaf to its queue.
+    served: usize,
+}
+
+impl Policy for Processor<'_> {
+    type Unit = ConvUnit;
+    const STEALS: bool = false;
+
+    fn next(&mut self) -> Option<ConvUnit> {
+        self.procs.queues[self.p].pop()
+    }
+
+    fn run(&mut self, unit: ConvUnit) {
         match unit {
-            Some(ConvUnit::Message(f)) => {
-                backoff.reset();
+            ConvUnit::Message(f) => {
                 // Messages execute atomically on the processor's stack.
                 COUNTERS.messages_executed.inc();
                 lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Busy);
                 emit(EventKind::TaskletExec, 0);
                 f();
                 lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Dispatch);
-                inner.retire();
+                self.procs.retire();
             }
-            Some(ConvUnit::Ult(u)) => {
-                backoff.reset();
+            ConvUnit::Ult(u) => {
                 let claimed = run_ult(&u);
                 if claimed && u.is_terminated() {
-                    inner.retire();
+                    self.procs.retire();
                 }
             }
-            Some(ConvUnit::Task(t)) => {
-                backoff.reset();
+            ConvUnit::Task(t) => {
                 // One queued poll, one execution: run() emits its own
                 // timeline/metrics; a wake that requeues the task goes
                 // back through post_task and re-increments outstanding.
                 t.run();
-                inner.retire();
-            }
-            None => {
-                // Quiescent? Serve a pending barrier episode.
-                if inner.barrier_requested.load(Ordering::Acquire) > served
-                    && inner.outstanding.load(Ordering::Acquire) == 0
-                {
-                    let mut relax = lwt_sync::AdaptiveRelax::new();
-                    if inner.barrier.wait(move || relax.relax()) {
-                        inner.barrier_completed.fetch_add(1, Ordering::AcqRel);
-                    }
-                    served += 1;
-                    continue;
-                }
-                if inner.stop.load(Ordering::Acquire)
-                    && may_exit(&inner.suspended[p], || proc.queue.is_empty())
-                {
-                    break;
-                }
-                // No steal phase here: Converse ULTs never migrate, so
-                // an empty queue goes straight to Idle.
-                lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);
-                // Reactor idle hook: collect I/O readiness (wakes
-                // repost through this runtime) before backing off.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // The queue is dry and no barrier episode is due:
-                    // sleep instead of burning the core. Only our own
-                    // queue feeds us, so the re-check counts just its
-                    // length; barrier requests and shutdown arrive as
-                    // wake tokens (their senders call `unpark_all`).
-                    let _ = inner
-                        .park
-                        .park(p, Some(&heartbeat), || proc.queue.len());
-                }
+                self.procs.retire();
             }
         }
+    }
+
+    /// Only our own queue feeds us; barrier requests and shutdown
+    /// arrive as wake tokens (their senders call `unpark_all`).
+    fn reachable(&self) -> usize {
+        self.procs.queues[self.p].len()
+    }
+
+    fn drained(&self) -> bool {
+        may_exit(&self.procs.suspended[self.p], || {
+            self.procs.queues[self.p].is_empty()
+        })
+    }
+
+    /// Quiescent with a barrier pending? Serve the episode.
+    fn dry_sweep(&mut self) -> bool {
+        let due = self.procs.barrier_requested.load(Ordering::Acquire) > self.served
+            && self.procs.outstanding.load(Ordering::Acquire) == 0;
+        if due {
+            self.procs.enter_barrier();
+            self.served += 1;
+        }
+        due
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lwt_sync::SpinLock;
     use std::sync::atomic::AtomicUsize;
 
     fn rt(n: usize) -> Runtime {
@@ -780,6 +685,7 @@ mod tests {
 #[cfg(test)]
 mod suspend_tests {
     use super::*;
+    use lwt_sync::SpinLock;
     use std::sync::atomic::AtomicUsize;
 
     #[test]

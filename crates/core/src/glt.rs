@@ -8,7 +8,7 @@ use lwt_fiber::StackSize;
 use lwt_sched::{force_wait_policy, WaitPolicy};
 use lwt_sync::{Event, SpinLock};
 use lwt_ultcore::task::{TaskCell, TaskOutcome, TaskResched};
-use lwt_ultcore::{blocking, DrainError, JoinError};
+use lwt_ultcore::{blocking, DrainError, JoinError, TaskHost};
 
 use crate::error::{PlacementError, SpawnError};
 
@@ -357,10 +357,10 @@ enum HandleInner<T> {
     Myth(lwt_massive::Handle<T>),
     /// Event-backed completion (Converse messages, goroutines,
     /// blocking-pool jobs).
-    Event(Arc<EventSlot<T>>, BackendKind),
+    Event(Arc<EventSlot<T>>),
     /// Stackless future spawned with [`Glt::spawn_async`]; completion
     /// is the task cell's own done event.
-    Async(Arc<dyn TaskOutcome<T>>, BackendKind),
+    Async(Arc<dyn TaskOutcome<T>>),
 }
 
 impl<T> From<HandleInner<T>> for GltHandle<T> {
@@ -395,8 +395,8 @@ impl<T> GltHandle<T> {
             HandleInner::AbtTasklet(h) => h.try_join(),
             HandleInner::Qth(h) => h.try_join(),
             HandleInner::Myth(h) => h.try_join(),
-            HandleInner::Event(slot, _) => slot.try_wait(),
-            HandleInner::Async(outcome, _) => {
+            HandleInner::Event(slot) => slot.try_wait(),
+            HandleInner::Async(outcome) => {
                 wait_event(outcome.done());
                 lwt_metrics::span::on_join(outcome.span_id());
                 match outcome.take().expect("async result already taken") {
@@ -424,8 +424,8 @@ impl<T> GltHandle<T> {
             HandleInner::AbtTasklet(h) => h.is_finished(),
             HandleInner::Qth(h) => h.is_finished(),
             HandleInner::Myth(h) => h.is_finished(),
-            HandleInner::Event(slot, _) => slot.done.is_set(),
-            HandleInner::Async(outcome, _) => outcome.done().is_set(),
+            HandleInner::Event(slot) => slot.done.is_set(),
+            HandleInner::Async(outcome) => outcome.done().is_set(),
         }
     }
 
@@ -461,21 +461,7 @@ impl<T> GltHandle<T> {
             if Instant::now() >= until {
                 return Err(self);
             }
-            match &self.inner {
-                HandleInner::AbtUlt(_)
-                | HandleInner::AbtTasklet(_)
-                | HandleInner::Async(_, BackendKind::Argobots)
-                | HandleInner::Event(_, BackendKind::Argobots) => {
-                    if lwt_argobots::in_ult() {
-                        lwt_argobots::yield_now();
-                    }
-                }
-                _ => {
-                    if lwt_ultcore::in_ult() {
-                        lwt_ultcore::yield_now();
-                    }
-                }
-            }
+            yield_unit();
             relax.relax();
         }
     }
@@ -512,9 +498,6 @@ fn wait_event(done: &Event) {
 pub fn yield_unit() -> bool {
     if lwt_argobots::in_ult() {
         lwt_argobots::yield_now();
-        true
-    } else if lwt_converse::in_ult() {
-        lwt_converse::yield_now();
         true
     } else if lwt_ultcore::in_ult() {
         lwt_ultcore::yield_now();
@@ -707,7 +690,7 @@ impl Glt {
                         s2.fulfill(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
                     });
                 });
-                HandleInner::Event(slot, BackendKind::Converse).into()
+                HandleInner::Event(slot).into()
             }
             Backend::Go(rt) => {
                 // Goroutines run inside a span-carrying UltCore, so the
@@ -720,7 +703,7 @@ impl Glt {
                         std::panic::AssertUnwindSafe(f),
                     ));
                 });
-                HandleInner::Event(slot, BackendKind::Go).into()
+                HandleInner::Event(slot).into()
             }
         }
     }
@@ -786,7 +769,7 @@ impl Glt {
                         s2.fulfill(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
                     });
                 });
-                HandleInner::Event(slot, BackendKind::Converse).into()
+                HandleInner::Event(slot).into()
             }
             Backend::Massive(_) | Backend::Go(_) => unreachable!("rejected above"),
         })
@@ -817,7 +800,7 @@ impl Glt {
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
                     }));
                 });
-                HandleInner::Event(slot, BackendKind::Converse).into()
+                HandleInner::Event(slot).into()
             }
             _ => self.ult_create(f),
         }
@@ -827,17 +810,23 @@ impl Glt {
     /// the initial enqueue and every waker-driven requeue go through it,
     /// so placement is decided in exactly one place.
     fn task_resched(&self) -> TaskResched {
-        match (&self.backend, self.async_queue) {
-            (Backend::Argobots(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Argobots(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
-            (Backend::Qthreads(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Qthreads(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
-            (Backend::Massive(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Massive(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
-            (Backend::Converse(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Converse(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
-            (Backend::Go(rt), AsyncQueuePolicy::RoundRobin) => rt.task_poster(),
-            (Backend::Go(rt), AsyncQueuePolicy::Pinned(w)) => rt.task_poster_to(w),
+        /// The hook holds a clone of the runtime, so a late wake (a
+        /// blocking-pool completion after the master dropped its
+        /// handle) still has somewhere to enqueue.
+        fn hook(rt: &impl TaskHost, pin: Option<usize>) -> TaskResched {
+            let rt = rt.clone();
+            Arc::new(move |task| rt.post_task(pin, task))
+        }
+        let pin = match self.async_queue {
+            AsyncQueuePolicy::RoundRobin => None,
+            AsyncQueuePolicy::Pinned(worker) => Some(worker),
+        };
+        match &self.backend {
+            Backend::Argobots(rt) => hook(rt, pin),
+            Backend::Qthreads(rt) => hook(rt, pin),
+            Backend::Massive(rt) => hook(rt, pin),
+            Backend::Converse(rt) => hook(rt, pin),
+            Backend::Go(rt) => hook(rt, pin),
         }
     }
 
@@ -870,7 +859,7 @@ impl Glt {
         let (outcome, task) = TaskCell::spawn(fut, resched.clone());
         // The task is born SCHEDULED; this push is its first schedule.
         resched(task);
-        HandleInner::Async(outcome, self.kind()).into()
+        HandleInner::Async(outcome).into()
     }
 
     /// Run `f` on an OS thread that is *allowed* to block (file I/O,
@@ -931,7 +920,7 @@ impl Glt {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
             }));
         })?;
-        Ok(HandleInner::Event(slot, self.kind()).into())
+        Ok(HandleInner::Event(slot).into())
     }
 
     /// Whether the backend distinguishes tasklets from ULTs (paper
@@ -947,18 +936,8 @@ impl Glt {
     /// Yield the calling work unit (`yield_function`). A no-op on the
     /// Go backend — the paper's Table I marks Go as offering no yield.
     pub fn yield_now(&self) {
-        match &self.backend {
-            Backend::Argobots(_) => {
-                if lwt_argobots::in_ult() {
-                    lwt_argobots::yield_now();
-                }
-            }
-            Backend::Qthreads(_) | Backend::Massive(_) | Backend::Converse(_) => {
-                if lwt_ultcore::in_ult() {
-                    lwt_ultcore::yield_now();
-                }
-            }
-            Backend::Go(_) => {}
+        if !matches!(self.backend, Backend::Go(_)) {
+            yield_unit();
         }
     }
 

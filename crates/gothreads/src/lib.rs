@@ -7,13 +7,17 @@
 //! synchronization mechanism that may impact performance when an
 //! elevated number of threads are used."
 //!
+//! The scheduler threads run the shared worker engine
+//! (`lwt_ultcore::engine`: loop, lifecycle, per-worker queues); this
+//! crate is the goroutine API, channels and a policy — *any thread
+//! runs any goroutine*, nearest victim first.
+//!
 //! Deliberate fidelity choices (each one shows up in the paper's
 //! curves):
 //!
-//! * **Per-worker lock-free run queues with a shared injector.** The
-//!   original seed modelled the paper's "global, unique queue"
-//!   description with one mutex-protected queue; the spawn/join
-//!   fast-path redesign moved every runtime onto
+//! * **Per-worker lock-free run queues with a shared injector** — a
+//!   recorded substitution. The paper describes a "global, unique
+//!   queue"; every runtime here schedules from
 //!   [`lwt_sched::ReadyQueue`] (Chase-Lev deque + MPSC inbox + work
 //!   stealing), which is also how the *real* Go scheduler has worked
 //!   since 1.1 (per-P runqueues + global injector). The
@@ -56,18 +60,16 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
-use lwt_metrics::registry::{emit, COUNTERS};
+use lwt_metrics::registry::emit;
 use lwt_metrics::EventKind;
-use lwt_sched::{near_first, ParkGroup, ReadyQueue};
-use lwt_sync::{Channel, CountLatch, RecvError, SendError, SpinLock};
+use lwt_sched::near_first;
+use lwt_sync::{Channel, CountLatch, RecvError, SendError};
 use lwt_ultcore::{
-    block_on, current_worker, enter_worker, join_within, may_exit, run_unit,
-    suspended_stragglers, DrainError, PollTask, ReadyUnit, Requeue, Straggler, TaskResched,
-    UltCore, ABANDON_GRACE,
+    block_on, run_unit, Crew, DrainError, Policy, PollTask, Pool, ReadyUnit, TaskHost, UltCore,
 };
 
 /// Runtime configuration.
@@ -92,28 +94,48 @@ impl Default for Config {
 struct RtInner {
     /// One ready queue per scheduler thread; external spawns are
     /// injected round-robin, idle workers steal from each other.
-    /// Goroutines and stackless future tasks share the queues
-    /// ([`ReadyUnit`]).
-    queues: Vec<ReadyQueue<ReadyUnit>>,
-    /// Goroutines suspended on each worker ([`Requeue::suspended`]).
-    suspended: Vec<AtomicUsize>,
-    /// Idle-worker parking (wake-one); every push site notifies.
-    park: ParkGroup,
+    pool: Arc<Pool>,
     next: AtomicUsize,
     stack_size: StackSize,
-    threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
-    stop: AtomicBool,
-    /// Bounded-drain escape hatch: set when a `shutdown_within`
-    /// deadline expires so workers exit even with queued (wedged)
-    /// goroutines still rotating through their queues.
-    abandon: AtomicBool,
-    shut: AtomicBool,
+    /// The scheduler threads; dropping the last handle stops and
+    /// joins them.
+    crew: Crew,
 }
 
 /// The Go-model runtime. Cheap to clone.
 #[derive(Clone)]
 pub struct Runtime {
     inner: Arc<RtInner>,
+}
+
+/// One scheduler thread's policy: any goroutine, from anybody.
+struct Sched<'a> {
+    pool: &'a Pool,
+    id: usize,
+}
+
+impl Policy for Sched<'_> {
+    type Unit = ReadyUnit;
+    const STEALS: bool = true;
+
+    /// Local deque + inbox, then every victim once, nearest first.
+    fn next(&mut self) -> Option<ReadyUnit> {
+        self.pool
+            .next(self.id, near_first(self.id, self.pool.workers()))
+    }
+
+    fn run(&mut self, unit: ReadyUnit) {
+        run_unit(&unit);
+    }
+
+    fn reachable(&self) -> usize {
+        self.pool
+            .reachable(self.id, near_first(self.id, self.pool.workers()))
+    }
+
+    fn drained(&self) -> bool {
+        self.pool.drained(self.id)
+    }
 }
 
 impl Runtime {
@@ -125,31 +147,22 @@ impl Runtime {
     #[must_use]
     pub fn init(config: Config) -> Self {
         assert!(config.num_threads > 0, "need at least one thread");
-        let inner = Arc::new(RtInner {
-            queues: (0..config.num_threads).map(|_| ReadyQueue::new()).collect(),
-            suspended: (0..config.num_threads).map(|_| AtomicUsize::new(0)).collect(),
-            park: ParkGroup::new(config.num_threads),
-            next: AtomicUsize::new(0),
-            stack_size: config.stack_size,
-            threads: SpinLock::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            abandon: AtomicBool::new(false),
-            shut: AtomicBool::new(false),
-        });
-        let rt = Runtime { inner };
-        let mut threads = rt.inner.threads.lock();
-        for t in 0..config.num_threads {
-            let inner = rt.inner.clone();
-            COUNTERS.os_threads_spawned.inc();
-            threads.push(Some(
-                std::thread::Builder::new()
-                    .name(format!("go-m{t}"))
-                    .spawn(move || worker_main(&inner, t))
-                    .expect("spawn go scheduler thread"),
-            ));
+        let crew = Crew::new(config.num_threads);
+        let pool = Pool::new(config.num_threads, false, crew.control().clone());
+        for id in 0..config.num_threads {
+            let pool = pool.clone();
+            crew.spawn(format!("go-m{id}"), move || {
+                pool.run_worker(id, "go", Sched { pool: &pool, id });
+            });
         }
-        drop(threads);
-        rt
+        Runtime {
+            inner: Arc::new(RtInner {
+                pool,
+                next: AtomicUsize::new(0),
+                stack_size: config.stack_size,
+                crew,
+            }),
+        }
     }
 
     /// [`Runtime::init`] with defaults.
@@ -161,7 +174,13 @@ impl Runtime {
     /// Number of scheduler threads.
     #[must_use]
     pub fn num_threads(&self) -> usize {
-        self.inner.threads.lock().len()
+        self.inner.pool.workers()
+    }
+
+    /// External spawns are dealt round-robin across the workers'
+    /// inboxes.
+    fn next_worker(&self) -> usize {
+        self.inner.next.fetch_add(1, Ordering::Relaxed) % self.inner.pool.workers()
     }
 
     /// Launch a goroutine (`go f()`). No handle is returned — Go has no
@@ -172,66 +191,9 @@ impl Runtime {
     {
         let ult = UltCore::new(self.inner.stack_size, f);
         emit(EventKind::UltSpawn, 0);
-        let n = self.inner.queues.len();
         // A spawn from a scheduler thread lands on that worker's own
-        // deque (ReadyQueue::push routes by caller identity); external
-        // spawns are injected round-robin across the workers' inboxes.
-        let target = match current_worker() {
-            Some(w) if w < n => w,
-            _ => self.inner.next.fetch_add(1, Ordering::Relaxed) % n,
-        };
-        self.inner.queues[target].push(ult.into());
-        // Push first, then wake at most one sleeper (see ParkGroup
-        // docs for why this order is what prevents lost wakes).
-        self.inner.park.notify_near(target);
-    }
-
-    /// Enqueue a stackless future task, picking the target queue like
-    /// [`Runtime::go`] (caller's own worker, else round-robin).
-    pub fn post_task(&self, task: Arc<dyn PollTask>) {
-        let n = self.inner.queues.len();
-        let target = match current_worker() {
-            Some(w) if w < n => w,
-            _ => self.inner.next.fetch_add(1, Ordering::Relaxed) % n,
-        };
-        self.inner.queues[target].push(ReadyUnit::Task(task));
-        self.inner.park.notify_near(target);
-    }
-
-    /// Enqueue a stackless future task on worker `worker`'s queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn post_task_to(&self, worker: usize, task: Arc<dyn PollTask>) {
-        self.inner.queues[worker].push(ReadyUnit::Task(task));
-        self.inner.park.notify_near(worker);
-    }
-
-    /// A cloneable hook that [`Runtime::post_task`]s into this runtime:
-    /// the reschedule target of every waker built over these queues.
-    /// Holds the runtime's shared state alive, so late wakes (a
-    /// blocking-pool completion after the master dropped the runtime
-    /// handle) still have somewhere to enqueue.
-    #[must_use]
-    pub fn task_poster(&self) -> TaskResched {
-        let rt = Runtime {
-            inner: self.inner.clone(),
-        };
-        Arc::new(move |t: Arc<dyn PollTask>| rt.post_task(t))
-    }
-
-    /// [`Runtime::task_poster`] pinned to one worker's queue.
-    ///
-    /// # Panics
-    ///
-    /// The returned hook panics if `worker` is out of range.
-    #[must_use]
-    pub fn task_poster_to(&self, worker: usize) -> TaskResched {
-        let rt = Runtime {
-            inner: self.inner.clone(),
-        };
-        Arc::new(move |t: Arc<dyn PollTask>| rt.post_task_to(worker, t))
+        // deque; external spawns go round-robin.
+        self.inner.pool.submit(ult.into(), || self.next_worker());
     }
 
     /// Create a buffered channel (`make(chan T, cap)`); capacity 0 is
@@ -250,101 +212,37 @@ impl Runtime {
         (Sender { ch: ch.clone() }, Receiver { ch })
     }
 
-    /// Stop scheduler threads and join them. Idempotent.
+    /// Stop scheduler threads and join them. Idempotent; also what
+    /// dropping the last clone does.
     ///
     /// Goroutines still queued (and never awaited) may not run.
     /// Unbounded: a goroutine that never finishes (parked on a lost
     /// channel message) makes this wait forever — use
     /// [`Runtime::shutdown_within`] to degrade gracefully instead.
     pub fn shutdown(&self) {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // A fully parked pool must notice the flag now, not after a
-        // backstop timeout.
-        self.inner.park.unpark_all();
-        let mut threads = self.inner.threads.lock();
-        for t in threads.iter_mut() {
-            if let Some(t) = t.take() {
-                t.join().expect("go scheduler thread panicked");
-            }
-        }
+        self.inner.crew.shutdown();
     }
 
     /// [`Runtime::shutdown`] with a drain deadline: wait up to
     /// `deadline` for the scheduler threads to finish their queues,
     /// then order them to abandon whatever is left and report the
-    /// stragglers. The workers are joined either way — on `Err`
-    /// nothing is still running, but the listed goroutines never
-    /// completed. Idempotent (later calls return `Ok`).
+    /// stragglers. On `Err` the listed goroutines never completed.
+    /// Idempotent (later calls return `Ok`).
     ///
     /// # Errors
     ///
     /// [`DrainError`] when the deadline expired with goroutines still
     /// queued or running.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return Ok(());
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // Wake every sleeper *before* the drain deadline starts: a
-        // fully parked pool drains instantly instead of eating the
-        // deadline in 20–200 ms backstop increments.
-        self.inner.park.unpark_all();
-        let handles: Vec<_> = {
-            let mut threads = self.inner.threads.lock();
-            threads.iter_mut().filter_map(Option::take).collect()
-        };
-        let timed_out = !join_within(&handles, deadline);
-        if timed_out {
-            self.inner.abandon.store(true, Ordering::Release);
-            self.inner.park.unpark_all();
-            // Grace for workers idling between units to notice the flag.
-            join_within(&handles, ABANDON_GRACE);
-        }
-        for t in handles {
-            if t.is_finished() {
-                t.join().expect("go scheduler thread panicked");
-            } else {
-                // Wedged inside a unit: detach rather than hang (never
-                // kill); the thread's Arcs keep its shared state alive.
-                drop(t);
-            }
-        }
-        if timed_out {
-            let stragglers = self
-                .inner
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(worker, q)| Straggler {
-                    worker,
-                    pending: q.len(),
-                    what: "goroutine ready queue",
-                })
-                .chain(suspended_stragglers(&self.inner.suspended))
-                .collect();
-            Err(DrainError {
-                waited: deadline,
-                stragglers,
-            })
-        } else {
-            Ok(())
-        }
+        self.inner
+            .crew
+            .shutdown_within(deadline, || self.inner.pool.stragglers("goroutine ready queue"))
     }
 }
 
-impl Drop for RtInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.park.unpark_all();
-        for t in self.threads.lock().iter_mut() {
-            if let Some(t) = t.take() {
-                let _ = t.join();
-            }
-        }
+impl TaskHost for Runtime {
+    fn post_task(&self, pin: Option<usize>, task: Arc<dyn PollTask>) {
+        self.inner.pool.post_task(pin, task, || self.next_worker());
     }
 }
 
@@ -352,102 +250,8 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("go::Runtime")
             .field("threads", &self.num_threads())
-            .field(
-                "queued",
-                &self.inner.queues.iter().map(ReadyQueue::len).sum::<usize>(),
-            )
+            .field("queued", &self.inner.pool.queued())
             .finish()
-    }
-}
-
-impl Requeue for RtInner {
-    fn requeue(&self, w: usize, u: Arc<UltCore>) {
-        // A rescheduled goroutine goes to the *back* of the worker's
-        // queue (the inbox), like Go's `Gosched` onto the global queue:
-        // pushed onto its own LIFO deque it would be popped right back,
-        // above the sibling it yielded to.
-        self.queues[w].inject(u.into());
-        self.park.notify_near(w);
-    }
-
-    fn wake(&self, w: usize, u: Arc<UltCore>) {
-        // Like a yield, a woken goroutine must stay stealable should
-        // this worker be tied up in a long unit — and a foreign thread
-        // (reactor, timer) can only offer that through the shared lane.
-        self.queues[w].push_shared(u.into());
-        self.park.notify_near(w);
-    }
-
-    fn suspended(&self, w: usize) -> Option<&AtomicUsize> {
-        Some(&self.suspended[w])
-    }
-}
-
-fn worker_main(inner: &Arc<RtInner>, id: usize) {
-    let _guard = enter_worker(id, inner.clone());
-    inner.queues[id].bind();
-    let n = inner.queues.len();
-    let mut backoff = lwt_sync::Backoff::new();
-    let heartbeat = lwt_chaos::register_worker("go", id);
-    // Pre-park emptiness estimate: own queue in full, victims' deques
-    // only (their inboxes are single-consumer — unreachable to us).
-    let pending = |inner: &RtInner| {
-        inner.queues[id].len()
-            + near_first(id, n)
-                .map(|v| inner.queues[v].stealable_len())
-                .sum::<usize>()
-    };
-    loop {
-        heartbeat.beat();
-        if inner.abandon.load(Ordering::Acquire) {
-            break;
-        }
-        // Bounded sweep: local deque + inbox, then every victim once,
-        // nearest first. No unbounded retry anywhere on this path.
-        let unit = inner.queues[id].pop().or_else(|| {
-            lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Steal);
-            for v in near_first(id, n) {
-                COUNTERS.steal_attempts.inc();
-                if let Some(u) = inner.queues[v].steal() {
-                    COUNTERS.steal_hits.inc();
-                    emit(EventKind::StealHit, v as u64);
-                    return Some(u);
-                }
-            }
-            None
-        });
-        match unit {
-            Some(u) => {
-                if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
-                    std::thread::yield_now();
-                }
-                backoff.reset();
-                run_unit(&u);
-            }
-            None => {
-                if inner.stop.load(Ordering::Acquire)
-                    && may_exit(&inner.suspended[id], || inner.queues[id].is_empty())
-                {
-                    break;
-                }
-                lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);
-                // Dry sweep: give the I/O reactor (if one is running)
-                // a zero-timeout poll before burning backoff rounds —
-                // readiness wakes repost through this runtime's own
-                // queues, so a non-zero return means work may exist.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // The sweep proved the pool dry: sleep instead of
-                    // burning the core (the pre-parking idle loop ate
-                    // 100% CPU per idle worker here).
-                    let _ = inner.park.park(id, Some(&heartbeat), || pending(inner));
-                }
-            }
-        }
     }
 }
 

@@ -7,14 +7,11 @@
 //!
 //! * **Workers** are hardware resources (one OS thread each); their
 //!   count is fixed at init (`MYTH_NUM_WORKERS`).
-//! * Each worker owns a ready queue ([`lwt_sched::ReadyQueue`]: a
-//!   lock-free Chase-Lev deque plus an MPSC inbox for cross-worker
-//!   submissions); **load balance is pursued with random work
-//!   stealing** — an idle worker steals another worker's oldest ULT
-//!   from the deque's far end. (Real MassiveThreads guards its deque
-//!   with a mutex; the spawn/join fast-path redesign trades that for
-//!   the lock-free structure while keeping the same owner-LIFO /
-//!   thief-FIFO discipline.)
+//! * Each worker owns a ready queue and **load balance is pursued with
+//!   random work stealing** — an idle worker steals another worker's
+//!   oldest ULT from the deque's far end. (Real MassiveThreads guards
+//!   its deque with a mutex; the shared [`lwt_ultcore::Pool`] keeps the
+//!   same owner-LIFO / thief-FIFO discipline lock-free.)
 //! * **Creation policies** ([`Policy`]): *work-first* (`myth_create`
 //!   default — "when a new ULT is created, it is immediately executed,
 //!   and the current ULT is moved into a ready queue") and *help-first*
@@ -28,6 +25,10 @@
 //! work units into **its own worker's queue** at constant cost and lets
 //! stealing distribute them; under work-first the main flow itself
 //! migrates from worker to worker as each spawn displaces it.
+//!
+//! The workers run the shared worker engine (`lwt_ultcore::engine`:
+//! loop, lifecycle, queues); this crate is the spawn API, the join
+//! handle and a policy — one random victim per sweep.
 //!
 //! ## Example
 //!
@@ -45,18 +46,15 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
-use lwt_metrics::registry::{emit, COUNTERS, STEAL_DWELL};
-use lwt_metrics::{clock, EventKind};
-use lwt_sched::{near_first, ParkGroup, ParkResult, RandomVictim, ReadyQueue};
-use lwt_sync::SpinLock;
+use lwt_metrics::registry::emit;
+use lwt_metrics::EventKind;
+use lwt_sched::{near_first, RandomVictim};
 use lwt_ultcore::{
-    enter_worker, join_within, may_exit, run_unit, suspended_stragglers, yield_to,
-    DrainError, PollTask, ReadyUnit, Requeue, ResultCell, Straggler, TaskResched, UltCore,
-    ABANDON_GRACE,
+    run_unit, yield_to, Crew, DrainError, Policy as WorkerPolicy, PollTask, Pool, ReadyUnit,
+    ResultCell, TaskHost, UltCore,
 };
 
 pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
@@ -95,21 +93,49 @@ impl Default for Config {
 }
 
 struct RtInner {
-    /// ULTs and stackless future tasks share the queues
-    /// ([`ReadyUnit`]).
-    queues: Vec<ReadyQueue<ReadyUnit>>,
-    /// ULTs suspended on each worker ([`Requeue::suspended`]).
-    suspended: Vec<AtomicUsize>,
-    /// Idle-worker parking (wake-one); every push site notifies.
-    park: ParkGroup,
-    threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
-    stop: AtomicBool,
-    /// Bounded-drain escape hatch: workers exit even with (wedged)
-    /// units still queued once a `shutdown_within` deadline expires.
-    abandon: AtomicBool,
+    /// One ready queue per worker; external spawns enter at worker 0
+    /// and stealing spreads them.
+    pool: Arc<Pool>,
     policy: Policy,
     stack_size: StackSize,
-    shut: AtomicBool,
+    /// The workers; dropping the last handle stops and joins them.
+    crew: Crew,
+}
+
+/// One worker's scheduling policy: depth-first on its own queue, then
+/// one random victim per sweep.
+struct Sched<'a> {
+    pool: &'a Pool,
+    id: usize,
+    victims: RandomVictim,
+}
+
+impl WorkerPolicy for Sched<'_> {
+    type Unit = ReadyUnit;
+    const STEALS: bool = true;
+
+    fn next(&mut self) -> Option<ReadyUnit> {
+        // A self-pick (one worker, or a chaos misdirect) is a sweep
+        // without an attempt.
+        let victim = std::iter::once_with(|| self.victims.pick(self.id)).filter(|&v| v != self.id);
+        self.pool.next(self.id, victim)
+    }
+
+    fn run(&mut self, unit: ReadyUnit) {
+        run_unit(&unit);
+    }
+
+    /// Every other worker, not just the next pick: a loaded victim the
+    /// random picks keep missing aborts the park, and the worker goes
+    /// back to probing for it.
+    fn reachable(&self) -> usize {
+        self.pool
+            .reachable(self.id, near_first(self.id, self.pool.workers()))
+    }
+
+    fn drained(&self) -> bool {
+        self.pool.drained(self.id)
+    }
 }
 
 /// The MassiveThreads-model runtime. Cheap to clone.
@@ -178,31 +204,29 @@ impl Runtime {
     #[must_use]
     pub fn init(config: Config) -> Self {
         assert!(config.num_workers > 0, "need at least one worker");
-        let inner = Arc::new(RtInner {
-            queues: (0..config.num_workers).map(|_| ReadyQueue::new()).collect(),
-            suspended: (0..config.num_workers).map(|_| AtomicUsize::new(0)).collect(),
-            park: ParkGroup::new(config.num_workers),
-            threads: SpinLock::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            abandon: AtomicBool::new(false),
-            policy: config.policy,
-            stack_size: config.stack_size,
-            shut: AtomicBool::new(false),
-        });
-        let rt = Runtime { inner };
-        let mut threads = rt.inner.threads.lock();
-        for w in 0..config.num_workers {
-            let inner = rt.inner.clone();
-            COUNTERS.os_threads_spawned.inc();
-            threads.push(Some(
-                std::thread::Builder::new()
-                    .name(format!("myth-w{w}"))
-                    .spawn(move || worker_main(&inner, w))
-                    .expect("spawn massivethreads worker"),
-            ));
+        let crew = Crew::new(config.num_workers);
+        let pool = Pool::new(config.num_workers, false, crew.control().clone());
+        for id in 0..config.num_workers {
+            let pool = pool.clone();
+            crew.spawn(format!("myth-w{id}"), move || {
+                let victims =
+                    RandomVictim::new(pool.workers(), 0x9E3779B9 ^ (id as u64) << 17 | 1);
+                let sched = Sched {
+                    pool: &pool,
+                    id,
+                    victims,
+                };
+                pool.run_worker(id, "massivethreads", sched);
+            });
         }
-        drop(threads);
-        rt
+        Runtime {
+            inner: Arc::new(RtInner {
+                pool,
+                policy: config.policy,
+                stack_size: config.stack_size,
+                crew,
+            }),
+        }
     }
 
     /// [`Runtime::init`] with defaults.
@@ -214,7 +238,7 @@ impl Runtime {
     /// Number of workers.
     #[must_use]
     pub fn num_workers(&self) -> usize {
-        self.inner.queues.len()
+        self.inner.pool.workers()
     }
 
     /// The configured default creation policy.
@@ -243,8 +267,7 @@ impl Runtime {
             unsafe { slot.put(value) };
         });
         emit(EventKind::UltSpawn, 0);
-        self.inner.queues[0].inject(ult.clone().into());
-        self.inner.park.notify_near(0);
+        self.inner.pool.inject(0, ult.clone().into());
         ult.join_wait();
         lwt_metrics::span::on_join(ult.span_id());
         if let Some(p) = ult.take_panic() {
@@ -283,113 +306,39 @@ impl Runtime {
             EventKind::UltSpawn,
             u64::from(policy == Policy::WorkFirst),
         );
-        match (policy, current_worker()) {
-            (Policy::WorkFirst, Some(_)) if in_ult() => {
-                // Work-first from inside a ULT: run the child now; the
-                // post-switch protocol requeues the parent into the
-                // current worker's queue, where it can be stolen.
-                if !yield_to(&ult) {
-                    // Claim raced (cannot normally happen for a fresh
-                    // ULT); degrade to help-first.
-                    self.inner.queues[0].inject(ult.clone().into());
-                    self.inner.park.notify_near(0);
-                }
+        if policy == Policy::WorkFirst && in_ult() {
+            // Work-first from inside a ULT: run the child now; the
+            // post-switch protocol requeues the parent into the
+            // current worker's queue, where it can be stolen.
+            if !yield_to(&ult) {
+                // Claim raced (cannot normally happen for a fresh
+                // ULT); degrade to help-first.
+                self.inner.pool.inject(0, ult.clone().into());
             }
-            (_, Some(w)) => {
-                // Help-first from a worker: straight onto this worker's
-                // own deque (the zero-allocation owner fast path). Wake
-                // a thief so a parked pool still spreads the load.
-                self.inner.queues[w].push(ult.clone().into());
-                self.inner.park.notify_near(w);
-            }
-            (_, None) => {
-                // External thread: into worker 0's inbox, to be batched
-                // onto its deque and stolen from there (the paper's
-                // MassiveThreads (H) shape).
-                self.inner.queues[0].inject(ult.clone().into());
-                self.inner.park.notify_near(0);
-            }
+        } else {
+            // Help-first from a worker: straight onto this worker's
+            // own deque (the zero-allocation owner fast path), waking
+            // a thief so a parked pool still spreads the load. From an
+            // external thread: into worker 0's inbox, to be batched
+            // onto its deque and stolen from there (the paper's
+            // MassiveThreads (H) shape).
+            self.inner.pool.submit(ult.clone().into(), || 0);
         }
         Handle { ult, result }
     }
 
-    /// Enqueue a stackless future task: onto the calling worker's own
-    /// deque from inside the runtime (help-first shape — a polled task
-    /// cannot displace its poller), else into worker 0's inbox like an
-    /// external spawn, from where stealing spreads it.
-    pub fn post_task(&self, task: Arc<dyn PollTask>) {
-        match current_worker() {
-            Some(w) if w < self.inner.queues.len() => {
-                self.inner.queues[w].push(ReadyUnit::Task(task));
-                self.inner.park.notify_near(w);
-            }
-            _ => {
-                self.inner.queues[0].inject(ReadyUnit::Task(task));
-                self.inner.park.notify_near(0);
-            }
-        }
-    }
-
-    /// Enqueue a stackless future task on worker `worker`'s queue —
-    /// internal placement the ULT API deliberately does not expose
-    /// (the work-first scheduler owns ULT placement; tasks have no
-    /// displacement semantics, so pinning them is harmless).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn post_task_to(&self, worker: usize, task: Arc<dyn PollTask>) {
-        self.inner.queues[worker].push(ReadyUnit::Task(task));
-        self.inner.park.notify_near(worker);
-    }
-
-    /// A cloneable hook that [`Runtime::post_task`]s into this runtime;
-    /// holds the shared state alive for late wakes.
-    #[must_use]
-    pub fn task_poster(&self) -> TaskResched {
-        let rt = Runtime {
-            inner: self.inner.clone(),
-        };
-        Arc::new(move |t: Arc<dyn PollTask>| rt.post_task(t))
-    }
-
-    /// [`Runtime::task_poster`] pinned to one worker's queue.
-    ///
-    /// # Panics
-    ///
-    /// The returned hook panics if `worker` is out of range.
-    #[must_use]
-    pub fn task_poster_to(&self, worker: usize) -> TaskResched {
-        let rt = Runtime {
-            inner: self.inner.clone(),
-        };
-        Arc::new(move |t: Arc<dyn PollTask>| rt.post_task_to(worker, t))
-    }
-
     /// Stop all workers and join their OS threads (`myth_fini`).
-    /// Idempotent. Unbounded: a ULT suspended on a join that can
-    /// never be satisfied keeps its worker from exiting forever — use
-    /// [`Runtime::shutdown_within`] to degrade gracefully instead.
+    /// Idempotent; also what dropping the last clone does. Unbounded:
+    /// a ULT suspended on a join that can never be satisfied keeps its
+    /// worker from exiting forever — use [`Runtime::shutdown_within`]
+    /// to degrade gracefully instead.
     pub fn shutdown(&self) {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // A fully parked pool must notice the flag now, not after a
-        // backstop timeout.
-        self.inner.park.unpark_all();
-        let mut threads = self.inner.threads.lock();
-        for t in threads.iter_mut() {
-            if let Some(t) = t.take() {
-                t.join().expect("massivethreads worker panicked");
-            }
-        }
+        self.inner.crew.shutdown();
     }
 
     /// [`Runtime::shutdown`] with a drain deadline: wait up to
     /// `deadline` for the workers to drain their deques, then order
-    /// them to abandon the rest and report stragglers. Workers are
-    /// joined either way — on `Err` nothing is still running, but the
+    /// them to abandon the rest and report stragglers. On `Err` the
     /// listed units never completed. Idempotent (later calls return
     /// `Ok`).
     ///
@@ -398,67 +347,20 @@ impl Runtime {
     /// [`DrainError`] when the deadline expired with units still
     /// queued or running.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return Ok(());
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // Wake every sleeper *before* the drain deadline starts: a
-        // fully parked pool drains instantly instead of eating the
-        // deadline in 20–200 ms backstop increments.
-        self.inner.park.unpark_all();
-        let handles: Vec<_> = {
-            let mut threads = self.inner.threads.lock();
-            threads.iter_mut().filter_map(Option::take).collect()
-        };
-        let timed_out = !join_within(&handles, deadline);
-        if timed_out {
-            self.inner.abandon.store(true, Ordering::Release);
-            self.inner.park.unpark_all();
-            // Grace for workers idling between units to notice the flag.
-            join_within(&handles, ABANDON_GRACE);
-        }
-        for t in handles {
-            if t.is_finished() {
-                t.join().expect("massivethreads worker panicked");
-            } else {
-                // Wedged inside a unit: detach rather than hang (never
-                // kill); the thread's Arcs keep its shared state alive.
-                drop(t);
-            }
-        }
-        if timed_out {
-            let stragglers = self
-                .inner
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(worker, q)| Straggler {
-                    worker,
-                    pending: q.len(),
-                    what: "worker deque",
-                })
-                .chain(suspended_stragglers(&self.inner.suspended))
-                .collect();
-            Err(DrainError {
-                waited: deadline,
-                stragglers,
-            })
-        } else {
-            Ok(())
-        }
+        self.inner
+            .crew
+            .shutdown_within(deadline, || self.inner.pool.stragglers("worker deque"))
     }
 }
 
-impl Drop for RtInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.park.unpark_all();
-        for t in self.threads.lock().iter_mut() {
-            if let Some(t) = t.take() {
-                let _ = t.join();
-            }
-        }
+impl TaskHost for Runtime {
+    /// Help-first shape (a polled task cannot displace its poller):
+    /// the calling worker's own deque, else worker 0's inbox like an
+    /// external spawn. Pinning is internal placement the ULT API
+    /// deliberately does not expose — the work-first scheduler owns
+    /// ULT placement, but tasks have no displacement semantics.
+    fn post_task(&self, pin: Option<usize>, task: Arc<dyn PollTask>) {
+        self.inner.pool.post_task(pin, task, || 0);
     }
 }
 
@@ -471,116 +373,11 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-impl Requeue for RtInner {
-    fn requeue(&self, worker: usize, u: Arc<UltCore>) {
-        // Yielded/displaced ULTs go to the *back* of the current
-        // worker's queue (the inbox): the owner pops its deque LIFO, so
-        // queued children run before the unit that yielded (progress),
-        // and the displaced main flow becomes stealable once the owner
-        // batches the inbox onto the deque — the paper's "another
-        // thread steals the main task".
-        self.queues[worker].inject(u.into());
-        self.park.notify_near(worker);
-    }
-
-    fn wake(&self, worker: usize, u: Arc<UltCore>) {
-        // Fired from another thread (reactor, timer): the shared lane,
-        // which thieves can reach even while this worker is tied up.
-        self.queues[worker].push_shared(u.into());
-        self.park.notify_near(worker);
-    }
-
-    fn suspended(&self, worker: usize) -> Option<&AtomicUsize> {
-        Some(&self.suspended[worker])
-    }
-}
-
-fn worker_main(inner: &Arc<RtInner>, w: usize) {
-    let _guard = enter_worker(w, inner.clone());
-    inner.queues[w].bind();
-    let victims = RandomVictim::new(inner.queues.len(), 0x9E3779B9 ^ (w as u64) << 17 | 1);
-    let mut backoff = lwt_sync::Backoff::new();
-    // Timestamp of the moment this worker ran dry; 0 while it has
-    // work. Feeds the steal-loop dwell histogram on the next acquire.
-    let mut idle_since_ns: u64 = 0;
-    let heartbeat = lwt_chaos::register_worker("massivethreads", w);
-    loop {
-        heartbeat.beat();
-        if inner.abandon.load(Ordering::Acquire) {
-            break;
-        }
-        // Own queue first (depth-first), then random stealing.
-        let unit = inner.queues[w].pop().or_else(|| {
-            lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Steal);
-            let v = victims.pick(w);
-            if v == w {
-                None
-            } else {
-                COUNTERS.steal_attempts.inc();
-                emit(EventKind::StealAttempt, v as u64);
-                let stolen = inner.queues[v].steal();
-                if stolen.is_some() {
-                    COUNTERS.steal_hits.inc();
-                    emit(EventKind::StealHit, v as u64);
-                }
-                stolen
-            }
-        });
-        match unit {
-            Some(u) => {
-                if idle_since_ns != 0 {
-                    STEAL_DWELL.record(clock::now_ns().saturating_sub(idle_since_ns));
-                    idle_since_ns = 0;
-                }
-                if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
-                    std::thread::yield_now();
-                }
-                backoff.reset();
-                run_unit(&u);
-            }
-            None => {
-                if idle_since_ns == 0 {
-                    idle_since_ns = clock::now_ns();
-                }
-                if inner.stop.load(Ordering::Acquire)
-                    && may_exit(&inner.suspended[w], || inner.queues[w].is_empty())
-                {
-                    break;
-                }
-                lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);
-                // Reactor idle hook: collect I/O readiness (wakes
-                // repost through this runtime) before backing off.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // Random probing came up dry long enough: sleep
-                    // instead of burning the core. The re-check counts
-                    // every reachable unit (own queue in full, victims'
-                    // deques only), so a loaded victim the random picks
-                    // kept missing aborts the park — and the reset
-                    // below sends us back to probing for it.
-                    let res = inner.park.park(w, Some(&heartbeat), || {
-                        inner.queues[w].len()
-                            + near_first(w, inner.queues.len())
-                                .map(|v| inner.queues[v].stealable_len())
-                                .sum::<usize>()
-                    });
-                    if matches!(res, ParkResult::FoundWork | ParkResult::Woken) {
-                        backoff.reset();
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use lwt_sync::SpinLock;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn rt(workers: usize, policy: Policy) -> Runtime {
         Runtime::init(Config {

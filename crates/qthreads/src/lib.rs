@@ -23,6 +23,11 @@
 //! ([`Runtime::loop_par`], [`Runtime::loop_accum`]) mirror
 //! `qt_loop`/`qt_loopaccum`.
 //!
+//! The workers run the shared worker engine (`lwt_ultcore::engine`:
+//! loop, lifecycle, queues); this crate is the fork API, the FEB join
+//! handle and a policy — steal from the siblings of the same shepherd
+//! only.
+//!
 //! ## Example
 //!
 //! ```
@@ -42,17 +47,16 @@ pub mod qutil;
 pub mod structures;
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
 use lwt_metrics::registry::{emit, COUNTERS};
 use lwt_metrics::EventKind;
-use lwt_sched::{ParkGroup, ReadyQueue, RoundRobin};
-use lwt_sync::{FebCell, FebTable, SpinLock};
+use lwt_sched::RoundRobin;
+use lwt_sync::{FebCell, FebTable};
 use lwt_ultcore::{
-    block_on, enter_worker, join_within, may_exit, run_unit, suspended_stragglers, DrainError,
-    PollTask, ReadyUnit, Requeue, ResultCell, Straggler, TaskResched, UltCore, ABANDON_GRACE,
+    block_on, run_unit, Crew, DrainError, Policy, PollTask, Pool, ReadyUnit, ResultCell, TaskHost,
+    UltCore,
 };
 
 pub use lwt_sync::FebTable as Feb;
@@ -82,30 +86,57 @@ impl Default for Config {
 struct RtInner {
     /// One ready queue per *worker*; a shepherd's queue of the paper
     /// is realised as its workers' queues plus same-shepherd stealing,
-    /// so work still never leaves its locality domain.
-    queues: Vec<ReadyQueue<ReadyUnit>>,
-    /// ULTs suspended on each worker ([`Requeue::suspended`]).
-    suspended: Vec<AtomicUsize>,
+    /// so work still never leaves its locality domain. The pool is
+    /// *scoped* for the same reason: a push always wakes the queue's
+    /// own worker, because a sleeper of another shepherd — which is
+    /// whom a wake-one already in flight may be for — cannot reach the
+    /// unit. (Worker ids are laid out shepherd-major, so the wake-one
+    /// scan that follows tries the siblings first.)
+    pool: Arc<Pool>,
     /// Shepherd id → the global worker ids it owns.
     shepherd_workers: Vec<Vec<usize>>,
     /// Per-shepherd round-robin for external dispatch into it.
     shepherd_rr: Vec<RoundRobin>,
     /// Global worker id → shepherd id.
     worker_shepherd: Vec<usize>,
-    /// Idle-worker parking (wake-one). Notifies pass the target worker
-    /// as the scan hint: stealing is shepherd-scoped, and worker ids
-    /// are laid out shepherd-major, so the nearest announced sleeper is
-    /// one that can actually reach the work.
-    park: ParkGroup,
-    threads: SpinLock<Vec<Option<std::thread::JoinHandle<()>>>>,
-    stop: AtomicBool,
-    /// Bounded-drain escape hatch: workers exit even with (wedged)
-    /// units still queued once a `shutdown_within` deadline expires.
-    abandon: AtomicBool,
     rr: RoundRobin,
     stack_size: StackSize,
     feb: FebTable,
-    shut: AtomicBool,
+    /// The workers; dropping the last handle stops and joins them.
+    crew: Crew,
+}
+
+/// One worker's scheduling policy: stealing stays within the shepherd,
+/// so work never leaves its locality domain (the hierarchy the paper's
+/// Table I highlights).
+struct Sched<'a> {
+    pool: &'a Pool,
+    id: usize,
+    /// The other workers of this worker's shepherd.
+    siblings: Vec<usize>,
+}
+
+impl Policy for Sched<'_> {
+    type Unit = ReadyUnit;
+    const STEALS: bool = true;
+
+    fn next(&mut self) -> Option<ReadyUnit> {
+        self.pool.next(self.id, self.siblings.iter().copied())
+    }
+
+    fn run(&mut self, unit: ReadyUnit) {
+        run_unit(&unit);
+    }
+
+    /// Own queue plus sibling deques; other shepherds' queues are
+    /// invisible by design.
+    fn reachable(&self) -> usize {
+        self.pool.reachable(self.id, self.siblings.iter().copied())
+    }
+
+    fn drained(&self) -> bool {
+        self.pool.drained(self.id)
+    }
 }
 
 /// The Qthreads-model runtime. Cheap to clone.
@@ -201,37 +232,38 @@ impl Runtime {
                 worker_shepherd.push(s);
             }
         }
-        let inner = Arc::new(RtInner {
-            queues: (0..worker_shepherd.len()).map(|_| ReadyQueue::new()).collect(),
-            suspended: (0..worker_shepherd.len()).map(|_| AtomicUsize::new(0)).collect(),
-            shepherd_workers,
-            shepherd_rr: (0..config.num_shepherds)
-                .map(|_| RoundRobin::new(config.workers_per_shepherd))
-                .collect(),
-            park: ParkGroup::new(worker_shepherd.len()),
-            worker_shepherd,
-            threads: SpinLock::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            abandon: AtomicBool::new(false),
-            rr: RoundRobin::new(config.num_shepherds),
-            stack_size: config.stack_size,
-            feb: FebTable::default(),
-            shut: AtomicBool::new(false),
-        });
-        let rt = Runtime { inner };
-        let mut threads = rt.inner.threads.lock();
-        for (worker_id, &shep) in rt.inner.worker_shepherd.iter().enumerate() {
-            let inner = rt.inner.clone();
-            COUNTERS.os_threads_spawned.inc();
-            threads.push(Some(
-                std::thread::Builder::new()
-                    .name(format!("qth-s{shep}-w{worker_id}"))
-                    .spawn(move || worker_main(&inner, worker_id, shep))
-                    .expect("spawn qthreads worker"),
-            ));
+        let crew = Crew::new(worker_shepherd.len());
+        let pool = Pool::new(worker_shepherd.len(), true, crew.control().clone());
+        for (id, &shep) in worker_shepherd.iter().enumerate() {
+            let pool = pool.clone();
+            let siblings: Vec<usize> = shepherd_workers[shep]
+                .iter()
+                .copied()
+                .filter(|&w| w != id)
+                .collect();
+            crew.spawn(format!("qth-s{shep}-w{id}"), move || {
+                let sched = Sched {
+                    pool: &pool,
+                    id,
+                    siblings,
+                };
+                pool.run_worker(id, "qthreads", sched);
+            });
         }
-        drop(threads);
-        rt
+        Runtime {
+            inner: Arc::new(RtInner {
+                pool,
+                shepherd_workers,
+                shepherd_rr: (0..config.num_shepherds)
+                    .map(|_| RoundRobin::new(config.workers_per_shepherd))
+                    .collect(),
+                worker_shepherd,
+                rr: RoundRobin::new(config.num_shepherds),
+                stack_size: config.stack_size,
+                feb: FebTable::default(),
+                crew,
+            }),
+        }
     }
 
     /// [`Runtime::init`] with defaults (one shepherd per CPU, one
@@ -320,59 +352,15 @@ impl Runtime {
         // workers.
         let target = match current_worker() {
             Some(w) if self.inner.worker_shepherd.get(w) == Some(&shepherd) => w,
-            _ => {
-                let workers = &self.inner.shepherd_workers[shepherd];
-                workers[self.inner.shepherd_rr[shepherd].next()]
-            }
+            _ => self.worker_of(shepherd),
         };
-        self.inner.queues[target].push(ult.clone().into());
-        // Push first, then wake at most one sleeper near the target
-        // (see ParkGroup docs for why this order prevents lost wakes).
-        self.inner.park.notify_near(target);
+        self.inner.pool.push(target, ult.clone().into());
         Handle { ult, result, ret }
     }
 
-    /// Enqueue a stackless poll task, reusing `qthread_fork`'s
-    /// placement: the caller's own deque when called from a worker
-    /// (zero-contention fast path), otherwise round-robin over the
-    /// shepherds like an external fork.
-    pub fn post_task(&self, task: Arc<dyn PollTask>) {
-        let target = match current_worker() {
-            Some(w) if w < self.inner.queues.len() => w,
-            _ => {
-                let shepherd = self.inner.rr.next();
-                let workers = &self.inner.shepherd_workers[shepherd];
-                workers[self.inner.shepherd_rr[shepherd].next()]
-            }
-        };
-        self.post_task_to(target, task);
-    }
-
-    /// Enqueue a stackless poll task onto a specific *worker's* queue
-    /// (finer-grained than `fork_to`'s shepherd targeting: a waker must
-    /// put the task exactly where the placement policy said).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn post_task_to(&self, worker: usize, task: Arc<dyn PollTask>) {
-        self.inner.queues[worker].push(ReadyUnit::Task(task));
-        self.inner.park.notify_near(worker);
-    }
-
-    /// A reschedule hook posting via [`Runtime::post_task`]; holds the
-    /// runtime alive so late wakes (after user drop) still land.
-    #[must_use]
-    pub fn task_poster(&self) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task(t))
-    }
-
-    /// A reschedule hook pinning every (re)schedule to `worker`.
-    #[must_use]
-    pub fn task_poster_to(&self, worker: usize) -> TaskResched {
-        let rt = self.clone();
-        Arc::new(move |t| rt.post_task_to(worker, t))
+    /// The next worker of `shepherd` in its external-dispatch rotation.
+    fn worker_of(&self, shepherd: usize) -> usize {
+        self.inner.shepherd_workers[shepherd][self.inner.shepherd_rr[shepherd].next()]
     }
 
     /// Parallel for over `range` (`qt_loop`): one work unit per worker,
@@ -449,29 +437,17 @@ impl Runtime {
     }
 
     /// Stop all workers and join their OS threads
-    /// (`qthread_finalize`). Idempotent. Unbounded: a ULT wedged on a
-    /// never-filled FEB keeps its queue occupied forever — use
-    /// [`Runtime::shutdown_within`] to degrade gracefully instead.
+    /// (`qthread_finalize`). Idempotent; also what dropping the last
+    /// clone does. Unbounded: a ULT wedged on a never-filled FEB keeps
+    /// its queue occupied forever — use [`Runtime::shutdown_within`]
+    /// to degrade gracefully instead.
     pub fn shutdown(&self) {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // A fully parked pool must notice the flag now, not after a
-        // backstop timeout.
-        self.inner.park.unpark_all();
-        let mut threads = self.inner.threads.lock();
-        for t in threads.iter_mut() {
-            if let Some(t) = t.take() {
-                t.join().expect("qthreads worker panicked");
-            }
-        }
+        self.inner.crew.shutdown();
     }
 
     /// [`Runtime::shutdown`] with a drain deadline: wait up to
     /// `deadline` for the workers to drain their queues, then order
-    /// them to abandon the rest and report stragglers. Workers are
-    /// joined either way — on `Err` nothing is still running, but the
+    /// them to abandon the rest and report stragglers. On `Err` the
     /// listed units (typically ULTs wedged on never-filled FEBs) never
     /// completed. Idempotent (later calls return `Ok`).
     ///
@@ -480,67 +456,22 @@ impl Runtime {
     /// [`DrainError`] when the deadline expired with units still
     /// queued or running.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
-        if self.inner.shut.swap(true, Ordering::AcqRel) {
-            return Ok(());
-        }
-        self.inner.stop.store(true, Ordering::Release);
-        // Wake every sleeper *before* the drain deadline starts: a
-        // fully parked pool drains instantly instead of eating the
-        // deadline in 20–200 ms backstop increments.
-        self.inner.park.unpark_all();
-        let handles: Vec<_> = {
-            let mut threads = self.inner.threads.lock();
-            threads.iter_mut().filter_map(Option::take).collect()
-        };
-        let timed_out = !join_within(&handles, deadline);
-        if timed_out {
-            self.inner.abandon.store(true, Ordering::Release);
-            self.inner.park.unpark_all();
-            // Grace for workers idling between units to notice the flag.
-            join_within(&handles, ABANDON_GRACE);
-        }
-        for t in handles {
-            if t.is_finished() {
-                t.join().expect("qthreads worker panicked");
-            } else {
-                // Wedged inside a unit: detach rather than hang (never
-                // kill); the thread's Arcs keep its shared state alive.
-                drop(t);
-            }
-        }
-        if timed_out {
-            let stragglers = self
-                .inner
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(worker, q)| Straggler {
-                    worker,
-                    pending: q.len(),
-                    what: "shepherd ready queue",
-                })
-                .chain(suspended_stragglers(&self.inner.suspended))
-                .collect();
-            Err(DrainError {
-                waited: deadline,
-                stragglers,
-            })
-        } else {
-            Ok(())
-        }
+        self.inner
+            .crew
+            .shutdown_within(deadline, || self.inner.pool.stragglers("shepherd ready queue"))
     }
 }
 
-impl Drop for RtInner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.park.unpark_all();
-        for t in self.threads.lock().iter_mut() {
-            if let Some(t) = t.take() {
-                let _ = t.join();
-            }
-        }
+impl TaskHost for Runtime {
+    /// `qthread_fork`'s placement: the caller's own deque from a
+    /// worker, otherwise round-robin over the shepherds like an
+    /// external fork. A pin names a *worker* (finer-grained than
+    /// `fork_to`'s shepherd targeting: a waker must put the task
+    /// exactly where the placement policy said).
+    fn post_task(&self, pin: Option<usize>, task: Arc<dyn PollTask>) {
+        self.inner
+            .pool
+            .post_task(pin, task, || self.worker_of(self.inner.rr.next()));
     }
 }
 
@@ -553,103 +484,10 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-impl Requeue for RtInner {
-    fn requeue(&self, w: usize, u: Arc<UltCore>) {
-        // Yielded ULTs go to the *back* of their worker's queue (the
-        // inbox) so forked children run before the unit that yielded.
-        self.queues[w].inject(u.into());
-        self.park.notify_near(w);
-    }
-
-    fn wake(&self, w: usize, u: Arc<UltCore>) {
-        // Fired from another thread (reactor, timer): the shared lane,
-        // which sibling workers can reach even while this one is tied
-        // up.
-        self.queues[w].push_shared(u.into());
-        self.park.notify_near(w);
-    }
-
-    fn suspended(&self, w: usize) -> Option<&AtomicUsize> {
-        Some(&self.suspended[w])
-    }
-}
-
-fn worker_main(inner: &Arc<RtInner>, worker_id: usize, shep: usize) {
-    let _guard = enter_worker(worker_id, inner.clone());
-    inner.queues[worker_id].bind();
-    // Stealing stays within the shepherd: work never leaves its
-    // locality domain (the hierarchy the paper's Table I highlights).
-    let siblings: Vec<usize> = inner.shepherd_workers[shep]
-        .iter()
-        .copied()
-        .filter(|&w| w != worker_id)
-        .collect();
-    let mut backoff = lwt_sync::Backoff::new();
-    let heartbeat = lwt_chaos::register_worker("qthreads", worker_id);
-    loop {
-        heartbeat.beat();
-        if inner.abandon.load(Ordering::Acquire) {
-            break;
-        }
-        let unit = inner.queues[worker_id].pop().or_else(|| {
-            lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Steal);
-            for &v in &siblings {
-                COUNTERS.steal_attempts.inc();
-                if let Some(u) = inner.queues[v].steal() {
-                    COUNTERS.steal_hits.inc();
-                    emit(EventKind::StealHit, v as u64);
-                    return Some(u);
-                }
-            }
-            None
-        });
-        match unit {
-            Some(u) => {
-                if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
-                    std::thread::yield_now();
-                }
-                backoff.reset();
-                run_unit(&u);
-            }
-            None => {
-                if inner.stop.load(Ordering::Acquire)
-                    && may_exit(&inner.suspended[worker_id], || {
-                        inner.queues[worker_id].is_empty()
-                    })
-                {
-                    break;
-                }
-                lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);
-                // Reactor idle hook: collect I/O readiness (wakes
-                // repost through this runtime) before backing off.
-                if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
-                    continue;
-                }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // The sibling sweep proved the shepherd dry: sleep
-                    // instead of burning the core. The re-check only
-                    // counts work this worker can reach — its own
-                    // queue plus sibling deques; other shepherds'
-                    // queues are invisible by design.
-                    let _ = inner.park.park(worker_id, Some(&heartbeat), || {
-                        inner.queues[worker_id].len()
-                            + siblings
-                                .iter()
-                                .map(|&v| inner.queues[v].stealable_len())
-                                .sum::<usize>()
-                    });
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn rt(sheps: usize, wps: usize) -> Runtime {
         Runtime::init(Config {

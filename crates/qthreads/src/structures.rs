@@ -11,17 +11,17 @@
 //!   lookups can *wait for a key to appear*, FEB-style.
 //! * [`QtQueue`] — `qt_queue`: a ULT-aware MPMC queue.
 //!
-//! All waiting is ULT-aware: inside a work unit the waiter yields, so
-//! its worker keeps executing other units.
+//! All waiting is ULT-aware: inside a work unit the waiter is
+//! suspended on the structure's [`WaitList`], so its worker keeps
+//! executing other units; a plain OS thread sleeps in `thread::park`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use lwt_chaos::BlockKind;
 use lwt_sync::{SpinLock, WaitList};
 use lwt_ultcore::block_on;
-
-use crate::yield_now;
 
 /// `qt_sinc_t`: a reduction sink over a dynamically growing set of
 /// contributions.
@@ -75,7 +75,7 @@ impl<T: Send> Sinc<T> {
     /// (`qt_sinc_wait`).
     pub fn wait<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         self.waiters.wait_until(
-            lwt_chaos::BlockKind::Event,
+            BlockKind::Event,
             || self.remaining.load(Ordering::Acquire) == 0,
             |poll| block_on(poll),
         );
@@ -100,12 +100,16 @@ impl<T> std::fmt::Debug for Sinc<T> {
 /// `qt_dictionary`: a bucketized concurrent hash map with FEB-flavored
 /// blocking lookup.
 ///
-/// `get_wait` parks the caller (yielding its worker) until some other
-/// work unit `put`s the key — the dictionary equivalent of `readFF`,
-/// and the idiom Qthreads programs use for dataflow tables.
+/// `get_wait` suspends the caller until some other work unit `put`s
+/// the key — the dictionary equivalent of `readFF`, and the idiom
+/// Qthreads programs use for dataflow tables.
 pub struct Dictionary<K, V, S = RandomState> {
     buckets: Box<[SpinLock<HashMap<K, V>>]>,
     hasher: S,
+    /// Blocked [`Dictionary::get_wait`]ers; fired by every insertion
+    /// (one list for the table: a waiter whose key it was not goes
+    /// back to sleep).
+    arrivals: WaitList,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Dictionary<K, V> {
@@ -122,6 +126,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Dictionary<K, V> {
         Dictionary {
             buckets: (0..n).map(|_| SpinLock::new(HashMap::new())).collect(),
             hasher: RandomState::new(),
+            arrivals: WaitList::new(),
         }
     }
 }
@@ -135,14 +140,20 @@ impl<K: Hash + Eq + Clone, V: Clone, S: BuildHasher> Dictionary<K, V, S> {
     /// Insert or replace; returns the previous value
     /// (`qt_dictionary_put`).
     pub fn put(&self, key: K, value: V) -> Option<V> {
-        self.bucket(&key).lock().insert(key, value)
+        let previous = self.bucket(&key).lock().insert(key, value);
+        self.arrivals.wake_all();
+        previous
     }
 
     /// Insert only if absent, returning the winning value
     /// (`qt_dictionary_put_if_absent`).
     pub fn put_if_absent(&self, key: K, value: V) -> V {
-        let mut b = self.bucket(&key).lock();
-        b.entry(key).or_insert(value).clone()
+        let winner = {
+            let mut b = self.bucket(&key).lock();
+            b.entry(key).or_insert(value).clone()
+        };
+        self.arrivals.wake_all();
+        winner
     }
 
     /// Non-blocking lookup (`qt_dictionary_get`).
@@ -151,18 +162,19 @@ impl<K: Hash + Eq + Clone, V: Clone, S: BuildHasher> Dictionary<K, V, S> {
         self.bucket(key).lock().get(key).cloned()
     }
 
-    /// Blocking lookup: wait (ULT-aware) until the key exists.
+    /// Blocking lookup: wait (suspended, when inside a ULT) until the
+    /// key exists.
     pub fn get_wait(&self, key: &K) -> V {
-        loop {
-            if let Some(v) = self.get(key) {
-                return v;
-            }
-            if lwt_ultcore::in_ult() {
-                yield_now();
-            } else {
-                std::thread::yield_now();
-            }
-        }
+        let mut found = None;
+        self.arrivals.wait_until(
+            BlockKind::Event,
+            || {
+                found = self.get(key);
+                found.is_some()
+            },
+            |poll| block_on(poll),
+        );
+        found.expect("get_wait returned without the key")
     }
 
     /// Remove a key (`qt_dictionary_delete`).
@@ -200,6 +212,8 @@ impl<K, V, S> std::fmt::Debug for Dictionary<K, V, S> {
 /// `qt_queue`: a ULT-aware MPMC FIFO.
 pub struct QtQueue<T> {
     inner: SpinLock<std::collections::VecDeque<T>>,
+    /// Blocked [`QtQueue::dequeue`]rs; fired by every enqueue.
+    arrivals: WaitList,
 }
 
 impl<T> QtQueue<T> {
@@ -208,12 +222,14 @@ impl<T> QtQueue<T> {
     pub fn new() -> Self {
         QtQueue {
             inner: SpinLock::new(std::collections::VecDeque::new()),
+            arrivals: WaitList::new(),
         }
     }
 
     /// Enqueue at the back (`qt_queue_enqueue`).
     pub fn enqueue(&self, value: T) {
         self.inner.lock().push_back(value);
+        self.arrivals.wake_all();
     }
 
     /// Non-blocking dequeue (`qt_queue_dequeue`).
@@ -221,18 +237,19 @@ impl<T> QtQueue<T> {
         self.inner.lock().pop_front()
     }
 
-    /// Blocking dequeue: waits (ULT-aware) for an element.
+    /// Blocking dequeue: waits (suspended, when inside a ULT) for an
+    /// element.
     pub fn dequeue(&self) -> T {
-        loop {
-            if let Some(v) = self.try_dequeue() {
-                return v;
-            }
-            if lwt_ultcore::in_ult() {
-                yield_now();
-            } else {
-                std::thread::yield_now();
-            }
-        }
+        let mut taken = None;
+        self.arrivals.wait_until(
+            BlockKind::Event,
+            || {
+                taken = self.try_dequeue();
+                taken.is_some()
+            },
+            |poll| block_on(poll),
+        );
+        taken.expect("dequeue returned without an element")
     }
 
     /// Number of queued elements (racy; diagnostics only).

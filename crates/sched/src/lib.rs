@@ -9,12 +9,6 @@
 //!   worker: Go's global run queue and `gcc` OpenMP's task queue. The
 //!   contention this design adds under load is one of the paper's
 //!   recurring findings.
-//! * [`PrivateDeque`] — an unsynchronized per-worker deque for private
-//!   pools (Argobots' best-performing configuration).
-//! * [`StealableDeque`] — a lock-protected per-worker deque whose owner
-//!   works LIFO while thieves take FIFO from the other end —
-//!   MassiveThreads' ready queue ("this mechanism requires mutex
-//!   protection in order to access the queue").
 //! * [`ChaseLev`] ([`Worker`]/[`Stealer`]) — the classic lock-free
 //!   work-stealing deque, modelling Intel OpenMP's per-thread task
 //!   queues with work stealing.
@@ -60,10 +54,8 @@ mod injector;
 mod io;
 mod park;
 mod sysapi;
-mod private;
 mod ready;
 mod shared;
-mod stealable;
 mod task;
 mod timer;
 mod victim;
@@ -75,10 +67,8 @@ pub use park::{
     current_wait_policy, force_wait_policy, reset_wait_policy_to_env, ParkGroup, ParkResult,
     WaitPolicy,
 };
-pub use private::PrivateDeque;
 pub use ready::{ReadyQueue, FAIRNESS};
 pub use shared::SharedQueue;
-pub use stealable::StealableDeque;
 pub use task::{TaskState, UnitPark, WakeAction};
 pub use timer::{TimerEntry, TimerWheel, LEVELS, SLOTS};
 pub use victim::{near_first, RandomVictim, RoundRobin};

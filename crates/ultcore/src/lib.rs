@@ -1,10 +1,18 @@
-//! # lwt-ultcore — the shared ULT executor core
+//! # lwt-ultcore — the shared ULT executor core and worker engine
 //!
 //! Four of the workspace's runtimes (Qthreads, MassiveThreads, Converse
 //! Threads, Go) execute stackful user-level threads with identical
-//! low-level mechanics and differ only in *queue topology and policy*.
-//! This crate houses the delicate, unsafe common core exactly once:
+//! low-level mechanics, and all five run the same worker loop and
+//! lifecycle around their queues; they differ only in *queue topology
+//! and policy* (the paper's Table I). This crate houses what they
+//! share, exactly once:
 //!
+//! * [`engine`] — the worker engine: [`Policy`] + [`worker_loop`] (the
+//!   scheduling loop of every worker, processor and stream),
+//!   [`Control`] + [`Crew`] (thread spawn, `shutdown`,
+//!   `shutdown_within`, `Drop`), [`Pool`] (the per-worker
+//!   `ReadyQueue`s of Go, MassiveThreads and Qthreads with their
+//!   [`Requeue`] hook) and [`TaskHost`] (task posting).
 //! * [`UltCore`] — the work-unit record (state word, saved context,
 //!   stack, entry closure, panic slot).
 //! * [`WorkerCtx`]/[`enter_worker`] — the per-OS-thread executor
@@ -25,10 +33,10 @@
 //! * [`blocking`] — the `spawn_blocking` OS-thread pool, so blocking
 //!   syscalls never wedge a scheduler worker.
 //!
-//! The Argobots-model crate (`lwt-argobots`) keeps its own copy of this
-//! machinery because its semantics are richer (two work-unit types,
-//! `yield_to`, stackable schedulers); the four simpler runtimes share
-//! this one.
+//! The Argobots-model crate (`lwt-argobots`) runs the engine's loop and
+//! lifecycle but keeps its own work-unit record because its semantics
+//! are richer (two work-unit types, `yield_to` by handle, stackable
+//! schedulers); the four simpler runtimes share [`UltCore`].
 //!
 //! ## The post-switch protocol
 //!
@@ -44,9 +52,13 @@
 #![warn(missing_docs)]
 
 pub mod blocking;
+pub mod engine;
 pub mod task;
 
 pub use blocking::BlockingPoolError;
+pub use engine::{
+    may_exit, straggler_table, worker_loop, Control, Crew, Policy, Pool, TaskHost,
+};
 pub use task::{run_unit, PollTask, ReadyUnit, TaskCell, TaskOutcome, TaskResched};
 
 use std::any::Any;
@@ -625,31 +637,6 @@ pub fn unit_waker() -> Waker {
     Waker::from(me.expect("lwt_ultcore::unit_waker() outside a ULT"))
 }
 
-/// The drain contract's exit test for a worker loop that found nothing
-/// to run after `stop` was raised: it may leave only once no unit is
-/// suspended on it (`suspended`, its [`Requeue::suspended`] count) and
-/// `queue_is_empty` still holds *after* that count read zero — a wake
-/// pushes before it decrements, so that order cannot miss a unit that
-/// was resumed in between.
-#[must_use]
-pub fn may_exit(suspended: &AtomicUsize, queue_is_empty: impl FnOnce() -> bool) -> bool {
-    suspended.load(Ordering::Acquire) == 0 && queue_is_empty()
-}
-
-/// The [`Straggler`] rows for units still suspended when a bounded
-/// drain gave up: one per worker with a non-zero
-/// [`Requeue::suspended`] count.
-pub fn suspended_stragglers(counts: &[AtomicUsize]) -> impl Iterator<Item = Straggler> + '_ {
-    counts.iter().enumerate().filter_map(|(worker, c)| {
-        let pending = c.load(Ordering::Acquire);
-        (pending > 0).then_some(Straggler {
-            worker,
-            pending,
-            what: "suspended units (blocked, in no queue)",
-        })
-    })
-}
-
 /// Whether the caller is executing inside a ULT.
 #[must_use]
 pub fn in_ult() -> bool {
@@ -680,36 +667,6 @@ pub fn block_on<T>(poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
         lwt_sync::block_on(&unit_waker(), suspend, poll)
     } else {
         lwt_sync::block_thread_on(poll)
-    }
-}
-
-/// Grace period granted after a drain deadline expires, between
-/// raising the backend's `abandon` flag and detaching workers that
-/// still have not exited: long enough for a worker parked between
-/// units to notice the flag, short enough that a worker wedged
-/// *inside* a unit cannot stall `shutdown_within` indefinitely.
-pub const ABANDON_GRACE: std::time::Duration = std::time::Duration::from_millis(500);
-
-/// Poll `handles` until every thread has finished or `deadline`
-/// elapses; `true` iff all finished in time. The building block of the
-/// backends' `shutdown_within`: the threads are *not* joined (callers
-/// join afterwards, possibly after ordering their loops to abandon).
-pub fn join_within(
-    handles: &[std::thread::JoinHandle<()>],
-    deadline: std::time::Duration,
-) -> bool {
-    let until = std::time::Instant::now() + deadline;
-    let watch = lwt_chaos::block_enter(lwt_chaos::BlockKind::Finalize, handles.len() as u64);
-    loop {
-        if handles.iter().all(std::thread::JoinHandle::is_finished) {
-            drop(watch);
-            return true;
-        }
-        if std::time::Instant::now() >= until {
-            drop(watch);
-            return false;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
     }
 }
 
@@ -873,76 +830,75 @@ impl<T> ResultCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwt_sched::ReadyQueue;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
 
-    /// Minimal runtime over the core: one [`ReadyQueue`] per worker,
-    /// round-robin external injection, work stealing between workers.
-    struct MiniRt {
-        queues: Arc<Vec<ReadyQueue<Arc<UltCore>>>>,
+    /// Minimal runtime over the core and the engine: a [`Pool`] whose
+    /// workers steal from every other worker, round-robin external
+    /// injection.
+    pub(super) struct MiniRt {
+        pub(super) pool: Arc<Pool>,
         next: AtomicUsize,
-        stop: Arc<AtomicBool>,
-        workers: Vec<std::thread::JoinHandle<()>>,
+        crew: Crew,
+    }
+
+    struct Sweep<'a> {
+        pool: &'a Pool,
+        id: usize,
+    }
+
+    impl Sweep<'_> {
+        fn others(&self) -> impl Iterator<Item = usize> + '_ {
+            (0..self.pool.workers()).filter(move |&v| v != self.id)
+        }
+    }
+
+    impl Policy for Sweep<'_> {
+        type Unit = ReadyUnit;
+        const STEALS: bool = true;
+
+        fn next(&mut self) -> Option<ReadyUnit> {
+            self.pool.next(self.id, self.others())
+        }
+
+        fn run(&mut self, unit: ReadyUnit) {
+            run_unit(&unit);
+        }
+
+        fn reachable(&self) -> usize {
+            self.pool.reachable(self.id, self.others())
+        }
+
+        fn drained(&self) -> bool {
+            self.pool.drained(self.id)
+        }
     }
 
     impl MiniRt {
-        fn new(nworkers: usize) -> Self {
-            let queues: Arc<Vec<ReadyQueue<Arc<UltCore>>>> =
-                Arc::new((0..nworkers).map(|_| ReadyQueue::new()).collect());
-            let stop = Arc::new(AtomicBool::new(false));
-            let workers = (0..nworkers)
-                .map(|id| {
-                    let queues = queues.clone();
-                    let stop = stop.clone();
-                    std::thread::spawn(move || {
-                        queues[id].bind();
-                        let rq = queues.clone();
-                        let requeue: Arc<dyn Requeue> =
-                            Arc::new(move |w: usize, u: Arc<UltCore>| {
-                                rq[w].push(u);
-                            });
-                        let _guard = enter_worker(id, requeue);
-                        loop {
-                            let next = queues[id].pop().or_else(|| {
-                                (0..queues.len())
-                                    .filter(|&v| v != id)
-                                    .find_map(|v| queues[v].steal())
-                            });
-                            match next {
-                                Some(u) => {
-                                    run_ult(&u);
-                                }
-                                None => {
-                                    if stop.load(Ordering::Acquire) {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
+        pub(super) fn new(nworkers: usize) -> Self {
+            let crew = Crew::new(nworkers);
+            let pool = Pool::new(nworkers, false, crew.control().clone());
+            for id in 0..nworkers {
+                let pool = pool.clone();
+                crew.spawn(format!("mini-{id}"), move || {
+                    pool.run_worker(id, "test", Sweep { pool: &pool, id });
+                });
+            }
             MiniRt {
-                queues,
+                pool,
                 next: AtomicUsize::new(0),
-                stop,
-                workers,
+                crew,
             }
         }
 
-        fn spawn(&self, f: impl FnOnce() + Send + 'static) -> Arc<UltCore> {
+        pub(super) fn spawn(&self, f: impl FnOnce() + Send + 'static) -> Arc<UltCore> {
             let u = UltCore::new(StackSize(32 * 1024), f);
-            let target = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-            self.queues[target].inject(u.clone());
+            let target = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.workers();
+            self.pool.inject(target, u.clone().into());
             u
         }
 
-        fn shutdown(mut self) {
-            self.stop.store(true, Ordering::Release);
-            for w in self.workers.drain(..) {
-                w.join().unwrap();
-            }
+        pub(super) fn shutdown(self) {
+            self.crew.shutdown();
         }
     }
 
@@ -1051,76 +1007,9 @@ mod tests {
 
 #[cfg(test)]
 mod suspend_tests {
+    use super::tests::MiniRt;
     use super::*;
-    use lwt_sched::ReadyQueue;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
-
-    /// The [`ReadyQueue`] runtime reused from the main tests, with
-    /// awaken support.
-    struct MiniRt {
-        queues: Arc<Vec<ReadyQueue<Arc<UltCore>>>>,
-        stop: Arc<AtomicBool>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    }
-
-    impl MiniRt {
-        fn new(nworkers: usize) -> Self {
-            let queues: Arc<Vec<ReadyQueue<Arc<UltCore>>>> =
-                Arc::new((0..nworkers).map(|_| ReadyQueue::new()).collect());
-            let stop = Arc::new(AtomicBool::new(false));
-            let workers = (0..nworkers)
-                .map(|id| {
-                    let queues = queues.clone();
-                    let stop = stop.clone();
-                    std::thread::spawn(move || {
-                        queues[id].bind();
-                        let rq = queues.clone();
-                        let requeue: Arc<dyn Requeue> =
-                            Arc::new(move |w: usize, u: Arc<UltCore>| {
-                                rq[w].push(u);
-                            });
-                        let _guard = enter_worker(id, requeue);
-                        loop {
-                            let next = queues[id].pop().or_else(|| {
-                                (0..queues.len())
-                                    .filter(|&v| v != id)
-                                    .find_map(|v| queues[v].steal())
-                            });
-                            match next {
-                                Some(u) => {
-                                    run_ult(&u);
-                                }
-                                None => {
-                                    if stop.load(Ordering::Acquire) {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            MiniRt {
-                queues,
-                stop,
-                workers,
-            }
-        }
-
-        fn spawn(&self, f: impl FnOnce() + Send + 'static) -> Arc<UltCore> {
-            let u = UltCore::new(lwt_fiber::StackSize(32 * 1024), f);
-            self.queues[0].inject(u.clone());
-            u
-        }
-
-        fn shutdown(mut self) {
-            self.stop.store(true, Ordering::Release);
-            for w in self.workers.drain(..) {
-                w.join().unwrap();
-            }
-        }
-    }
 
     #[test]
     fn suspend_then_awaken_resumes() {
@@ -1192,7 +1081,7 @@ mod suspend_tests {
         let rt = MiniRt::new(1);
         let u = UltCore::new(lwt_fiber::StackSize(16 * 1024), suspend);
         assert!(awaken(&u));
-        rt.queues[0].inject(u.clone());
+        rt.pool.inject(0, u.clone().into());
         u.join_wait();
         assert!(!awaken(&u), "nothing left to wake");
         rt.shutdown();

@@ -12,7 +12,8 @@
 //! |---|---|---|
 //! | [`fiber`] | `lwt-fiber` | stacks + x86_64 context switch |
 //! | [`sync`] | `lwt-sync` | spinlock, barriers, FEBs, channels, latches |
-//! | [`sched`] | `lwt-sched` | shared/private/stealable/Chase–Lev queues |
+//! | [`sched`] | `lwt-sched` | shared queue, Chase–Lev deque, ready queues, parking |
+//! | [`ultcore`] | `lwt-ultcore` | ULT executor core + the worker engine all five runtimes run |
 //! | [`argobots`] | `lwt-argobots` | execution streams, ULTs + tasklets, stackable schedulers, `yield_to` |
 //! | [`qthreads`] | `lwt-qthreads` | shepherds/workers, full/empty-bit joins |
 //! | [`massive`] | `lwt-massive` | work-first/help-first workers, random stealing |

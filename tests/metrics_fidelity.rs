@@ -124,3 +124,89 @@ fn top_level_regions_do_not_spawn_after_init() {
         assert_eq!(snapshot().counters.os_threads_spawned, after_init);
     });
 }
+
+/// Fork `children` short units from inside a unit (so they land on the
+/// forking worker's own deque, where only a thief can spread them) and
+/// wait for them all. `fork` creates one child around a body.
+fn burst_from_inside(children: usize, fork: impl Fn(Box<dyn FnOnce() + Send>)) {
+    let latch = std::sync::Arc::new(lwt::sync::CountLatch::new(children));
+    for _ in 0..children {
+        let latch = latch.clone();
+        fork(Box::new(move || {
+            let t0 = std::time::Instant::now();
+            while t0.elapsed() < std::time::Duration::from_micros(20) {
+                std::hint::spin_loop();
+            }
+            latch.count_down();
+        }));
+    }
+    latch.wait(|| lwt::ultcore::block_on(|cx| latch.poll_released(cx)));
+}
+
+/// Wait until both workers of a fresh two-worker runtime have parked:
+/// from then on each has run dry once, so its next unit — stolen or
+/// not — ends a dwell episode.
+fn wait_until_both_parked() {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while snapshot().counters.workers_parked_level < 2 {
+        assert!(std::time::Instant::now() < deadline, "idle workers never parked");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// Every policy with a steal phase feeds the steal-dwell histogram —
+/// the shared worker loop samples it on the dry → work edge, so a run
+/// in which a thief that had run dry got work cannot leave it empty
+/// (Go and Qthreads used to: only MassiveThreads' copy of the loop
+/// recorded it).
+#[test]
+fn every_stealing_backend_records_steal_dwell() {
+    const ROUNDS: usize = 50;
+    let ((), go) = scoped(|| {
+        let rt = lwt::go::Runtime::init(lwt::go::Config {
+            num_threads: 2,
+            ..Default::default()
+        });
+        wait_until_both_parked();
+        for _ in 0..ROUNDS {
+            let wg = lwt::go::WaitGroup::new(1);
+            let (rt2, done) = (rt.clone(), wg.clone());
+            rt.go(move || {
+                burst_from_inside(64, |body| rt2.go(body));
+                done.done();
+            });
+            wg.wait();
+            if snapshot().counters.steal_hits > 0 {
+                break;
+            }
+        }
+        rt.shutdown();
+    });
+    let ((), qth) = scoped(|| {
+        // One shepherd, two workers: stealing is shepherd-scoped.
+        let rt = lwt::qthreads::Runtime::init(lwt::qthreads::Config {
+            num_shepherds: 1,
+            workers_per_shepherd: 2,
+            ..Default::default()
+        });
+        wait_until_both_parked();
+        for _ in 0..ROUNDS {
+            let rt2 = rt.clone();
+            rt.fork(move || {
+                burst_from_inside(64, |body| drop(rt2.fork(body)));
+            })
+            .join();
+            if snapshot().counters.steal_hits > 0 {
+                break;
+            }
+        }
+        rt.shutdown();
+    });
+    for (backend, snap) in [("go", go), ("qthreads", qth)] {
+        assert!(
+            snap.counters.steal_hits == 0 || snap.steal_dwell.count > 0,
+            "{backend}: {} steal hits but an empty steal-dwell histogram",
+            snap.counters.steal_hits
+        );
+    }
+}
