@@ -295,7 +295,34 @@ if [ -n "$COPIES" ]; then
     printf '%s\n' "$COPIES" >&2
     exit 1
 fi
+# The same for the ULT record: every backend's ULT is an UltCore, so
+# bootstrapping a context, the final switch off a dying stack, the ULT
+# entry, the post-switch protocol and a unit's `Wake` impl each live
+# only in lwt-ultcore (lwt-fiber, below it, defines the switch itself;
+# the one other `Wake` is lwt-sync's OS-thread waker). And the GLT
+# layer probes one ULT context, not a second one for Argobots.
+ULTCORE="crates/ultcore/src/lib.rs"
+for call in 'init_context(' 'switch_final('; do
+    CALLERS=$(grep -rlF "$call" crates/*/src | grep -v '^crates/fiber/src/' | sort | tr '\n' ' ')
+    if [ "$CALLERS" != "$ULTCORE " ]; then
+        echo "FAIL: \`$call\` is called from: $CALLERS (allowed: $ULTCORE)" >&2
+        exit 1
+    fi
+done
+for def in 'fn ult_entry' 'fn process_post' 'impl (std::task::)?Wake for'; do
+    DEFS=$(grep -rnE "$def" crates/*/src | grep -v 'Wake for ThreadUnpark ' \
+        | cut -d: -f1 | sort -u | tr '\n' ' ')
+    if [ "$DEFS" != "$ULTCORE " ]; then
+        echo "FAIL: \`$def\` matches in: $DEFS (allowed: $ULTCORE)" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'lwt_argobots::(in_ult|yield_now|block_on)' crates/core/src; then
+    echo "FAIL: lwt-core probes a second ULT context" >&2
+    exit 1
+fi
 echo "   ok: one worker loop, one lifecycle, one task-posting path ($ENGINE)"
+echo "   ok: one ULT record, entry and post-switch protocol ($ULTCORE)"
 
 echo "== tier1: spawn-path smoke (fig2_create vs committed baseline)"
 # One quick fig2_create bench run; the spawn path must not regress

@@ -30,11 +30,16 @@
 //! structure is freed with the handle (`ABT_thread_free` ≙ join +
 //! drop).
 //!
-//! The streams run the shared worker loop and lifecycle
-//! (`lwt_ultcore::engine`); their policy is "whatever the scheduler on
-//! top of the stream's stack picks". The work-unit record and the
-//! post-switch protocol (`stream.rs`, `unit.rs`) are still this
-//! crate's own.
+//! Everything else is `lwt_ultcore`'s: the streams run the shared
+//! worker loop and lifecycle (`lwt_ultcore::engine`) with "whatever the
+//! scheduler on top of the stream's stack picks" as their policy, and
+//! a ULT *is* an `lwt_ultcore::UltCore` — switched, suspended, woken
+//! and joined by the core like every backend's. The one datum it
+//! carries for Argobots is its home pool, where the runtime's requeue
+//! hook sends it on every yield and resume. [`yield_now`],
+//! [`self_suspend`], [`unit_waker`], [`in_ult`], [`block_on`] and
+//! [`current_stream`] are the core's functions under their Argobots
+//! names.
 //!
 //! ## Example
 //!
@@ -66,8 +71,11 @@ mod unit;
 pub use pool::{Pool, PoolPolicy};
 pub use runtime::{Config, Runtime};
 pub use sched::{BasicScheduler, Pick, SchedContext, Scheduler, WorkUnit};
-pub use stream::{block_on, current_stream, in_ult, self_suspend, unit_waker, yield_now, yield_to};
+pub use stream::yield_to;
 pub use sync::{AbtBarrier, AbtCond, AbtFuture, AbtMutex, AbtMutexGuard, Eventual};
 pub use unit::{TaskletHandle, UltHandle, UnitState};
 
-pub use lwt_ultcore::JoinError;
+pub use lwt_ultcore::{
+    block_on, current_worker as current_stream, in_ult, suspend as self_suspend, unit_waker,
+    yield_now, JoinError,
+};

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use lwt_sched::{Injector, SharedQueue};
-use lwt_ultcore::Control;
+use lwt_ultcore::{Control, Requeue, UltCore};
 
 use crate::unit::Unit;
 
@@ -120,6 +120,102 @@ impl PoolShared {
             PoolQueue::Mpsc(q) => q.len(),
             PoolQueue::Shared(q) => q.len(),
         }
+    }
+}
+
+/// Segments in [`Pools`]: segment `k` holds `2^k` slots.
+const SEGMENTS: usize = usize::BITS as usize;
+
+type Segment = Box<[OnceLock<Arc<PoolShared>>]>;
+
+/// Every pool of a runtime, in creation order — under the private
+/// policy pool `i` is stream `i`'s, under the shared one there is only
+/// pool 0 — and the [`Requeue`] hook every stream registers with.
+///
+/// Append-only, so the lookups on every create, yield, suspend and
+/// wake take no lock: slot `i` lives in segment `ilog2(i + 1)`,
+/// allocated on first use and never moved.
+pub(crate) struct Pools {
+    pub(crate) policy: PoolPolicy,
+    segments: [OnceLock<Segment>; SEGMENTS],
+    len: AtomicUsize,
+}
+
+impl Pools {
+    pub(crate) fn new(policy: PoolPolicy) -> Self {
+        Pools {
+            policy,
+            segments: [const { OnceLock::new() }; SEGMENTS],
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    #[inline]
+    fn slot(i: usize) -> (usize, usize) {
+        let k = (i + 1).ilog2() as usize;
+        (k, i + 1 - (1 << k))
+    }
+
+    /// Append `pool`. Callers serialize (the runtime's stream lock).
+    pub(crate) fn push(&self, pool: Arc<PoolShared>) {
+        let i = self.len.load(Ordering::Relaxed);
+        let (k, off) = Self::slot(i);
+        let segment =
+            self.segments[k].get_or_init(|| (0..1usize << k).map(|_| OnceLock::new()).collect());
+        let _ = segment[off].set(pool);
+        // Release: a reader that sees the new length finds the slot set.
+        self.len.store(i + 1, Ordering::Release);
+    }
+
+    /// Number of pools.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Pool `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no pool `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &Arc<PoolShared> {
+        let (k, off) = Self::slot(i);
+        self.segments[k]
+            .get()
+            .and_then(|segment| segment[off].get())
+            .expect("no such pool")
+    }
+
+    /// Index of the pool stream `stream` drains.
+    #[inline]
+    pub(crate) fn of_stream(&self, stream: usize) -> usize {
+        match self.policy {
+            PoolPolicy::PrivatePerStream => stream,
+            PoolPolicy::SharedSingle => 0,
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<PoolShared>> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+impl Requeue for Pools {
+    /// A yielded — or, through the default `wake`, resumed — ULT goes
+    /// back to its home pool, whichever stream it ran on: after a
+    /// cross-pool `yield_to` that is not the current one. The push
+    /// fires the pool's own targeted notify.
+    #[inline]
+    fn requeue(&self, _stream: usize, ult: Arc<UltCore>) {
+        self.get(ult.home_queue()).push(Unit::Ready(ult.into()));
+    }
+
+    /// The count of the pool `stream` drains, so its `is_drained` sees
+    /// the units suspended on it.
+    #[inline]
+    fn suspended(&self, stream: usize) -> Option<&AtomicUsize> {
+        Some(&self.get(self.of_stream(stream)).suspended)
     }
 }
 

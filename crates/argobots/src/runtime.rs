@@ -4,18 +4,19 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lwt_fiber::{cache, init_context, StackSize};
+use lwt_fiber::StackSize;
 use lwt_metrics::registry::{emit, timestamp_if_tracing, COUNTERS};
 use lwt_metrics::EventKind;
 use lwt_sync::SpinLock;
-use lwt_ultcore::{straggler_table, Crew, DrainError, PollTask, TaskHost};
-
-use crate::pool::{Pool, PoolPolicy, PoolShared};
-use crate::sched::Scheduler;
-use crate::stream::{es_main, ult_entry, StreamShared};
-use crate::unit::{
-    Entry, ResultCell, TaskletHandle, TaskletInner, UltHandle, UltInner, Unit, READY,
+use lwt_ultcore::state::READY;
+use lwt_ultcore::{
+    straggler_table, Crew, DrainError, PollTask, ReadyUnit, ResultCell, TaskHost, UltCore,
 };
+
+use crate::pool::{Pool, PoolPolicy, PoolShared, Pools};
+use crate::sched::Scheduler;
+use crate::stream::{es_main, StreamShared};
+use crate::unit::{TaskletHandle, TaskletInner, UltHandle, Unit};
 
 /// Runtime configuration (`ABT_init` parameters).
 #[derive(Debug, Clone)]
@@ -40,10 +41,11 @@ impl Default for Config {
 }
 
 struct RtInner {
-    policy: PoolPolicy,
     stack_size: StackSize,
-    /// All pools; under `PrivatePerStream`, index i belongs to stream i.
-    pools: SpinLock<Vec<Arc<PoolShared>>>,
+    /// All pools (under `PrivatePerStream`, index i belongs to stream
+    /// i) and the requeue hook over them.
+    pools: Arc<Pools>,
+    /// Also serializes `stream_create`, so stream i gets pool i.
     streams: SpinLock<Vec<Arc<StreamShared>>>,
     rr: AtomicUsize,
     /// The stream threads and the park group they sleep in: one slot
@@ -78,20 +80,19 @@ impl Runtime {
     pub fn init(config: Config) -> Self {
         assert!(config.num_streams > 0, "need at least one stream");
         let inner = Arc::new(RtInner {
-            policy: config.pool_policy,
             stack_size: config.stack_size,
-            pools: SpinLock::new(Vec::new()),
+            pools: Arc::new(Pools::new(config.pool_policy)),
             streams: SpinLock::new(Vec::new()),
             rr: AtomicUsize::new(0),
             crew: Crew::new(config.num_streams + 8),
         });
         let rt = Runtime { inner };
         if config.pool_policy == PoolPolicy::SharedSingle {
-            let pool = Arc::new(PoolShared::new_shared());
+            let pool = PoolShared::new_shared();
             // Any stream pops the shared pool, so a push wakes whichever
             // sleeper the scanning wake-one picks.
             pool.set_waker(rt.inner.crew.control().clone(), None);
-            rt.inner.pools.lock().push(pool);
+            rt.inner.pools.push(Arc::new(pool));
         }
         for _ in 0..config.num_streams {
             rt.stream_create();
@@ -109,27 +110,21 @@ impl Runtime {
     /// the capability that distinguishes Argobots' "Group Control" in
     /// the paper's Table I. Returns the new stream's id.
     pub fn stream_create(&self) -> usize {
-        let pool = match self.inner.policy {
-            PoolPolicy::PrivatePerStream => {
-                let p = Arc::new(PoolShared::new());
-                self.inner.pools.lock().push(p.clone());
-                p
-            }
-            PoolPolicy::SharedSingle => self.inner.pools.lock()[0].clone(),
-        };
+        let pools = &self.inner.pools;
         let mut streams = self.inner.streams.lock();
         let id = streams.len();
-        if self.inner.policy == PoolPolicy::PrivatePerStream {
+        if pools.policy == PoolPolicy::PrivatePerStream {
+            let pool = PoolShared::new();
             // MPSC: only stream `id` ever pops this pool, so pushes wake
             // that stream specifically (a scanning wake-one could spend
-            // its single wake on a stream that cannot pop it). A push
-            // racing ahead of this install merely skips the wake — the
-            // stream thread below has not started, let alone parked.
+            // its single wake on a stream that cannot pop it).
             pool.set_waker(self.inner.crew.control().clone(), Some(id));
+            pools.push(Arc::new(pool));
         }
         let shared = Arc::new(StreamShared {
             id,
-            pools: vec![pool],
+            pools: vec![pools.get(pools.of_stream(id)).clone()],
+            hook: pools.clone(),
             ctl: self.inner.crew.control().clone(),
             mailbox: SpinLock::new(Vec::new()),
         });
@@ -151,7 +146,6 @@ impl Runtime {
     pub fn pools(&self) -> Vec<Pool> {
         self.inner
             .pools
-            .lock()
             .iter()
             .map(|p| Pool { shared: p.clone() })
             .collect()
@@ -171,21 +165,13 @@ impl Runtime {
 
     /// Pick the pool new work is dispatched to, round-robin under the
     /// private policy (the paper's master-thread dispatch).
-    fn next_pool(&self) -> Arc<PoolShared> {
-        let pools = self.inner.pools.lock();
-        match self.inner.policy {
-            PoolPolicy::SharedSingle => pools[0].clone(),
+    fn next_pool(&self) -> usize {
+        let pools = &self.inner.pools;
+        match pools.policy {
+            PoolPolicy::SharedSingle => 0,
             PoolPolicy::PrivatePerStream => {
-                let i = self.inner.rr.fetch_add(1, Ordering::Relaxed) % pools.len();
-                pools[i].clone()
+                self.inner.rr.fetch_add(1, Ordering::Relaxed) % pools.len()
             }
-        }
-    }
-
-    fn pool_of_stream(&self, stream: usize) -> Arc<PoolShared> {
-        match self.inner.policy {
-            PoolPolicy::SharedSingle => self.inner.pools.lock()[0].clone(),
-            PoolPolicy::PrivatePerStream => self.inner.pools.lock()[stream].clone(),
         }
     }
 
@@ -210,54 +196,29 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.ult_create_in(self.pool_of_stream(stream), f)
+        self.ult_create_in(self.inner.pools.of_stream(stream), f)
     }
 
-    fn ult_create_in<T, F>(&self, pool: Arc<PoolShared>, f: F) -> UltHandle<T>
+    /// The ULT belongs to pool `home` for life: its yields and resumes
+    /// send it back there ([`Pools`]' requeue hook).
+    fn ult_create_in<T, F>(&self, home: usize, f: F) -> UltHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let result = Arc::new(ResultCell(UnsafeCell::new(None)));
+        let result = ResultCell::new();
         let slot = result.clone();
-        let entry: Entry = Box::new(move || {
+        let ult = UltCore::with_home(self.inner.stack_size, home, move || {
             let value = f();
-            // SAFETY: sole writer; readers wait for TERMINATED.
-            unsafe { *slot.0.get() = Some(value) };
+            // SAFETY: sole writer, before TERMINATED.
+            unsafe { slot.put(value) };
         });
-        COUNTERS.ults_created.inc();
         emit(EventKind::UltSpawn, 0);
-        let stack = cache::acquire(self.inner.stack_size);
-        let inner = Arc::new(UltInner {
-            state: AtomicU8::new(READY),
-            ctx: UnsafeCell::new(lwt_fiber::RawContext::null()),
-            stack: UnsafeCell::new(None),
-            entry: UnsafeCell::new(Some(entry)),
-            home: UnsafeCell::new(Some(pool.clone())),
-            park: lwt_sched::UnitPark::new(),
-            joiners: lwt_sync::WaitList::new(),
-            panic: UnsafeCell::new(None),
-            spawn_ns: std::sync::atomic::AtomicU64::new(timestamp_if_tracing()),
-            span: lwt_metrics::span::on_spawn(),
-        });
-        // SAFETY: `ult_entry` never returns; the data pointer stays
-        // valid because the pool hint + handle hold the Arc; the stack
-        // moves *into* the inner below without changing its heap
-        // allocation.
-        let ctx = unsafe {
-            init_context(
-                &stack,
-                ult_entry,
-                Arc::as_ptr(&inner).cast_mut().cast::<u8>(),
-            )
-        };
-        // SAFETY: not yet shared with any consumer (push comes last).
-        unsafe {
-            *inner.ctx.get() = ctx;
-            *inner.stack.get() = Some(stack);
-        }
-        pool.push(Unit::Ult(inner.clone()));
-        UltHandle { inner, result }
+        self.inner
+            .pools
+            .get(home)
+            .push(Unit::Ready(ult.clone().into()));
+        UltHandle { ult, result }
     }
 
     /// Create a tasklet (`ABT_task_create`): a stackless work unit that
@@ -282,20 +243,20 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.tasklet_create_in(self.pool_of_stream(stream), f)
+        self.tasklet_create_in(self.inner.pools.of_stream(stream), f)
     }
 
-    fn tasklet_create_in<T, F>(&self, pool: Arc<PoolShared>, f: F) -> TaskletHandle<T>
+    fn tasklet_create_in<T, F>(&self, pool: usize, f: F) -> TaskletHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let result = Arc::new(ResultCell(UnsafeCell::new(None)));
+        let result = ResultCell::new();
         let slot = result.clone();
-        let entry: Entry = Box::new(move || {
+        let entry: Box<dyn FnOnce() + Send> = Box::new(move || {
             let value = f();
-            // SAFETY: sole writer; readers wait for TERMINATED.
-            unsafe { *slot.0.get() = Some(value) };
+            // SAFETY: sole writer, before TERMINATED.
+            unsafe { slot.put(value) };
         });
         COUNTERS.tasklets_created.inc();
         // arg = 1 distinguishes tasklet spawns from ULT spawns.
@@ -308,7 +269,10 @@ impl Runtime {
             spawn_ns: std::sync::atomic::AtomicU64::new(timestamp_if_tracing()),
             span: lwt_metrics::span::on_spawn(),
         });
-        pool.push(Unit::Tasklet(inner.clone()));
+        self.inner
+            .pools
+            .get(pool)
+            .push(Unit::Tasklet(inner.clone()));
         TaskletHandle { inner, result }
     }
 
@@ -333,7 +297,7 @@ impl Runtime {
     /// deadline expired before every stream went idle.
     pub fn shutdown_within(&self, deadline: std::time::Duration) -> Result<(), DrainError> {
         self.inner.crew.shutdown_within(deadline, || {
-            let pools = self.inner.pools.lock();
+            let pools = &self.inner.pools;
             straggler_table(
                 pools.iter().map(|p| p.len()),
                 "stream pool",
@@ -350,8 +314,9 @@ impl TaskHost for Runtime {
     /// unpinned task may migrate between streams across polls (pools
     /// are the placement unit, exactly as for `ABT_task_create`).
     fn post_task(&self, pin: Option<usize>, task: Arc<dyn PollTask>) {
-        let pool = pin.map_or_else(|| self.next_pool(), |stream| self.pool_of_stream(stream));
-        pool.push(Unit::Task(task));
+        let pools = &self.inner.pools;
+        let pool = pin.map_or_else(|| self.next_pool(), |stream| pools.of_stream(stream));
+        pools.get(pool).push(Unit::Ready(ReadyUnit::Task(task)));
     }
 }
 
@@ -359,7 +324,7 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("argobots::Runtime")
             .field("streams", &self.num_streams())
-            .field("policy", &self.inner.policy)
+            .field("policy", &self.inner.pools.policy)
             .finish()
     }
 }
@@ -367,7 +332,7 @@ impl std::fmt::Debug for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{current_stream, in_ult, yield_now, yield_to};
+    use crate::{current_stream, in_ult, yield_now, yield_to};
     use std::sync::atomic::AtomicUsize;
 
     fn rt(n: usize, policy: PoolPolicy) -> Runtime {

@@ -8,6 +8,8 @@
 
 use std::sync::Arc;
 
+use lwt_ultcore::ReadyUnit;
+
 use crate::pool::PoolShared;
 use crate::unit::Unit;
 
@@ -17,9 +19,9 @@ pub struct WorkUnit(pub(crate) Unit);
 impl std::fmt::Debug for WorkUnit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self.0 {
-            Unit::Ult(_) => "WorkUnit(ULT)",
+            Unit::Ready(ReadyUnit::Ult(_)) => "WorkUnit(ULT)",
             Unit::Tasklet(_) => "WorkUnit(Tasklet)",
-            Unit::Task(_) => "WorkUnit(Task)",
+            Unit::Ready(ReadyUnit::Task(_)) => "WorkUnit(Task)",
         })
     }
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use lwt_chaos::BlockKind;
 use lwt_sync::{SpinLock, WaitList};
 
-use crate::stream::{block_on, in_ult, yield_now};
+use crate::{block_on, in_ult, yield_now};
 
 /// A lock wait (`ABT_mutex`, `ABT_cond`): yield the ULT, or back off
 /// the external thread, until `cond` holds. Locks keep the yielding
@@ -466,7 +466,7 @@ mod tests {
         let holder = rt.ult_create(move || {
             let mut g = m2.lock();
             for _ in 0..3 {
-                crate::stream::yield_now();
+                crate::yield_now();
             }
             *g += 1;
         });
@@ -505,7 +505,7 @@ mod tests {
                     g.push(i);
                     cp.signal();
                 }
-                crate::stream::yield_now();
+                crate::yield_now();
             }
         });
         producer.join();

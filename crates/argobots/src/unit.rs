@@ -2,16 +2,12 @@
 
 use std::any::Any;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use lwt_fiber::{CachedStack, RawContext};
-use lwt_metrics::registry::SPAWN_LATENCY;
-use lwt_sched::UnitPark;
 use lwt_sync::WaitList;
-use lwt_ultcore::{JoinError, PollTask};
-
-use crate::pool::PoolShared;
+use lwt_ultcore::state::{BLOCKED, READY, RUNNING, TERMINATED};
+use lwt_ultcore::{JoinError, ReadyUnit, ResultCell, UltCore};
 
 /// Observable lifecycle of a work unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,11 +23,6 @@ pub enum UnitState {
     Blocked,
 }
 
-pub(crate) const READY: u8 = 0;
-pub(crate) const RUNNING: u8 = 1;
-pub(crate) const TERMINATED: u8 = 2;
-pub(crate) const BLOCKED: u8 = 3;
-
 fn state_from_u8(v: u8) -> UnitState {
     match v {
         READY => UnitState::Ready,
@@ -41,43 +32,16 @@ fn state_from_u8(v: u8) -> UnitState {
     }
 }
 
-/// Type-erased entry closure.
-pub(crate) type Entry = Box<dyn FnOnce() + Send + 'static>;
-
-/// Feed the spawn-to-first-run histogram when a unit is first
-/// dispatched. `spawn_ns` is zero when tracing was off at creation or
-/// the stamp was already consumed — that fast path is one relaxed
-/// load.
-#[inline]
-pub(crate) fn record_spawn_latency(spawn_ns: &AtomicU64) {
-    if spawn_ns.load(Ordering::Relaxed) != 0 {
-        let t0 = spawn_ns.swap(0, Ordering::Relaxed);
-        if t0 != 0 {
-            SPAWN_LATENCY.record(lwt_metrics::clock::now_ns().saturating_sub(t0));
-        }
-    }
-}
-
-/// Shared state of a ULT.
-pub(crate) struct UltInner {
+/// Shared state of a tasklet: no stack, no context — just a closure
+/// executed atomically on the scheduler's own stack. Its state word
+/// uses the ULT constants ([`lwt_ultcore::state`]).
+pub(crate) struct TaskletInner {
     pub(crate) state: AtomicU8,
-    /// Suspended context; valid whenever the ULT is not running.
-    pub(crate) ctx: UnsafeCell<RawContext>,
-    /// Owned stack, recycled through the per-worker stack cache when
-    /// the last Arc drops (join + handle drop ≙ `ABT_thread_free`).
-    pub(crate) stack: UnsafeCell<Option<CachedStack>>,
-    /// Entry closure, taken exactly once at first execution.
-    pub(crate) entry: UnsafeCell<Option<Entry>>,
-    /// Pool this ULT returns to when it yields or is resumed.
-    pub(crate) home: UnsafeCell<Option<Arc<PoolShared>>>,
-    /// The `self_suspend`/`resume` handshake — the same machine the
-    /// ultcore runtimes use.
-    pub(crate) park: UnitPark,
-    /// Whoever is blocked joining this ULT; fired right after
+    pub(crate) entry: UnsafeCell<Option<Box<dyn FnOnce() + Send + 'static>>>,
+    pub(crate) panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
+    /// Whoever is blocked joining this tasklet; fired right after
     /// `TERMINATED` is published.
     pub(crate) joiners: WaitList,
-    /// Panic payload captured from the entry closure, re-raised at join.
-    pub(crate) panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
     /// Creation timestamp for the spawn-to-first-run histogram; zero
     /// when tracing is off or already consumed.
     pub(crate) spawn_ns: AtomicU64,
@@ -86,55 +50,14 @@ pub(crate) struct UltInner {
     pub(crate) span: u64,
 }
 
-// SAFETY: interior fields follow the claim protocol — `ctx`, `entry`
-// and `panic` are only touched by the thread that owns the unit's
-// RUNNING claim (or before first enqueue); `home` is written once at
-// creation; `state` transitions publish with Release/Acquire.
-unsafe impl Send for UltInner {}
-// SAFETY: see above.
-unsafe impl Sync for UltInner {}
-
-impl UltInner {
-    pub(crate) fn state(&self) -> UnitState {
-        state_from_u8(self.state.load(Ordering::Acquire))
-    }
-
-    /// Claim READY → RUNNING; grants exclusive execution rights.
-    pub(crate) fn claim(&self) -> bool {
-        self.state
-            .compare_exchange(READY, RUNNING, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    pub(crate) fn is_terminated(&self) -> bool {
-        self.state.load(Ordering::Acquire) == TERMINATED
-    }
-}
-
-/// Shared state of a tasklet: no stack, no context — just a closure
-/// executed atomically on the scheduler's own stack.
-pub(crate) struct TaskletInner {
-    pub(crate) state: AtomicU8,
-    pub(crate) entry: UnsafeCell<Option<Entry>>,
-    pub(crate) panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
-    /// See [`UltInner::joiners`].
-    pub(crate) joiners: WaitList,
-    /// See [`UltInner::spawn_ns`].
-    pub(crate) spawn_ns: AtomicU64,
-    /// See [`UltInner::span`].
-    pub(crate) span: u64,
-}
-
-// SAFETY: same claim protocol as UltInner, minus the context fields.
+// SAFETY: `entry` and `panic` are only touched by the thread that owns
+// the RUNNING claim (or before first enqueue); `state` transitions
+// publish with Release/Acquire.
 unsafe impl Send for TaskletInner {}
 // SAFETY: see above.
 unsafe impl Sync for TaskletInner {}
 
 impl TaskletInner {
-    pub(crate) fn state(&self) -> UnitState {
-        state_from_u8(self.state.load(Ordering::Acquire))
-    }
-
     pub(crate) fn claim(&self) -> bool {
         self.state
             .compare_exchange(READY, RUNNING, Ordering::Acquire, Ordering::Relaxed)
@@ -146,29 +69,15 @@ impl TaskletInner {
     }
 }
 
-/// A queued work unit (pool entry). Entries are *hints*: execution
-/// rights come from the claim CAS, so a stale entry for an already
-/// claimed unit is skipped harmlessly.
-#[derive(Clone)]
+/// A queued work unit (pool entry): what every ultcore queue holds — a
+/// ULT or a stackless poll task (`Glt::spawn_async`), dispatched by
+/// `run_unit` — or a tasklet. Entries are *hints*: execution rights
+/// come from the claim CAS, so a stale entry for an already claimed
+/// unit is skipped harmlessly.
 pub(crate) enum Unit {
-    Ult(Arc<UltInner>),
+    Ready(ReadyUnit),
     Tasklet(Arc<TaskletInner>),
-    /// Stackless poll task (`Glt::spawn_async` bridge). Like a tasklet
-    /// it runs atomically on the stream's own stack; unlike one it may
-    /// be re-queued many times (one entry per scheduled poll), with
-    /// staleness handled by the task's own state machine.
-    Task(Arc<dyn PollTask>),
 }
-
-/// Slot the spawned closure writes its result into; synchronized by the
-/// TERMINATED transition of the owning unit.
-pub(crate) struct ResultCell<T>(pub(crate) UnsafeCell<Option<T>>);
-
-// SAFETY: exactly one writer (the unit, before TERMINATED) and readers
-// only after observing TERMINATED with Acquire.
-unsafe impl<T: Send> Send for ResultCell<T> {}
-// SAFETY: see above.
-unsafe impl<T: Send> Sync for ResultCell<T> {}
 
 /// Handle to a spawned ULT; join to obtain the closure's result.
 ///
@@ -176,7 +85,7 @@ unsafe impl<T: Send> Sync for ResultCell<T> {}
 /// structure — together, `join` + drop correspond to
 /// `ABT_thread_free`.
 pub struct UltHandle<T> {
-    pub(crate) inner: Arc<UltInner>,
+    pub(crate) ult: Arc<UltCore>,
     pub(crate) result: Arc<ResultCell<T>>,
 }
 
@@ -184,7 +93,7 @@ impl<T> UltHandle<T> {
     /// Current lifecycle state.
     #[must_use]
     pub fn state(&self) -> UnitState {
-        self.inner.state()
+        state_from_u8(self.ult.state())
     }
 
     /// Wait for completion and take the result, surfacing a panic that
@@ -200,22 +109,13 @@ impl<T> UltHandle<T> {
     ///
     /// [`JoinError`] carrying the panic payload.
     pub fn try_join(self) -> Result<T, JoinError> {
-        self.inner.joiners.wait_until(
-            lwt_chaos::BlockKind::Join,
-            || self.inner.is_terminated(),
-            |poll| crate::block_on(poll),
-        );
-        lwt_metrics::span::on_join(self.inner.span);
-        // SAFETY: TERMINATED observed with Acquire; the unit will never
-        // touch `panic`/result again; we own the handle.
-        unsafe {
-            if let Some(p) = (*self.inner.panic.get()).take() {
-                return Err(JoinError::new(p));
-            }
-            Ok((*self.result.0.get())
-                .take()
-                .expect("ULT result already taken"))
+        self.ult.join_wait();
+        lwt_metrics::span::on_join(self.ult.span_id());
+        if let Some(p) = self.ult.take_panic() {
+            return Err(JoinError::new(p));
         }
+        // SAFETY: TERMINATED observed; we own the handle, sole joiner.
+        Ok(unsafe { self.result.take() }.expect("ULT result already taken"))
     }
 
     /// Wait for completion and take the result.
@@ -231,7 +131,7 @@ impl<T> UltHandle<T> {
     /// Non-consuming completion test.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.inner.is_terminated()
+        self.ult.is_terminated()
     }
 
     /// Make a [`crate::self_suspend`]ed ULT runnable again in its home
@@ -239,7 +139,7 @@ impl<T> UltHandle<T> {
     /// that overtakes the suspend is remembered and makes that suspend
     /// return at once.
     pub fn resume(&self) {
-        crate::stream::resume(&self.inner);
+        lwt_ultcore::awaken(&self.ult);
     }
 }
 
@@ -261,7 +161,7 @@ impl<T> TaskletHandle<T> {
     /// Current lifecycle state.
     #[must_use]
     pub fn state(&self) -> UnitState {
-        self.inner.state()
+        state_from_u8(self.inner.state.load(Ordering::Acquire))
     }
 
     /// Wait for completion and take the result, surfacing an escaped
@@ -278,14 +178,13 @@ impl<T> TaskletHandle<T> {
             |poll| crate::block_on(poll),
         );
         lwt_metrics::span::on_join(self.inner.span);
-        // SAFETY: as in UltHandle::try_join.
+        // SAFETY: TERMINATED observed with Acquire; the tasklet never
+        // touches `panic`/result again; we own the handle.
         unsafe {
             if let Some(p) = (*self.inner.panic.get()).take() {
                 return Err(JoinError::new(p));
             }
-            Ok((*self.result.0.get())
-                .take()
-                .expect("tasklet result already taken"))
+            Ok(self.result.take().expect("tasklet result already taken"))
         }
     }
 

@@ -491,20 +491,16 @@ fn wait_event(done: &Event) {
 ///
 /// This is the backend-agnostic building block for code layered
 /// *above* the GLT API that must relax politely without knowing which
-/// runtime is hosting it: each backend's ULT context is thread-local,
-/// so probing all of them finds the right one regardless of which
-/// `Glt` spawned the caller. To wait for an *event*, suspend instead:
-/// [`block_unit_on`].
+/// runtime is hosting it: every backend's ULT is an `lwt_ultcore` unit
+/// and its context is thread-local, so one probe finds it regardless
+/// of which `Glt` spawned the caller. To wait for an *event*, suspend
+/// instead: [`block_unit_on`].
 pub fn yield_unit() -> bool {
-    if lwt_argobots::in_ult() {
-        lwt_argobots::yield_now();
-        true
-    } else if lwt_ultcore::in_ult() {
+    let in_ult = lwt_ultcore::in_ult();
+    if in_ult {
         lwt_ultcore::yield_now();
-        true
-    } else {
-        false
     }
+    in_ult
 }
 
 /// Block the calling context on a poll function, suspending *the unit,
@@ -515,27 +511,21 @@ pub fn yield_unit() -> bool {
 /// `poll` is called with a [`Context`] whose waker resumes the caller,
 /// whatever the caller is:
 ///
-/// * an Argobots ULT — `self_suspend`, resumed into its home pool
-///   (`ABT_thread_resume`);
-/// * a ULT of any other backend — `lwt_ultcore::suspend`, awakened
-///   through its runtime's `Requeue::wake` hook
-///   (`CthSuspend`/`CthAwaken`);
+/// * a ULT of any backend — `lwt_ultcore::suspend`, awakened through
+///   its runtime's `Requeue::wake` hook (`CthSuspend`/`CthAwaken`; an
+///   Argobots ULT is resumed into its home pool, `ABT_thread_resume`);
 /// * a plain OS thread — `thread::park`/`unpark`.
 ///
 /// Each `Pending` suspends until the waker fires, then polls again.
 /// `poll` must follow the usual future contract — publish
 /// `cx.waker()` where the event source will find it, *then* re-check
-/// the condition, and only then return `Pending` — because all three
+/// the condition, and only then return `Pending` — because both
 /// suspends take a wake that arrived early as a reason to return at
 /// once, never as lost. Spurious re-polls are possible and harmless.
 /// The steady state allocates nothing: a ULT's waker is a clone of
 /// its own `Arc`.
 pub fn block_unit_on<T>(poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
-    if lwt_argobots::in_ult() {
-        lwt_argobots::block_on(poll)
-    } else {
-        lwt_ultcore::block_on(poll)
-    }
+    lwt_ultcore::block_on(poll)
 }
 
 /// The unified runtime (`GLT_init` … `GLT_finalize`).

@@ -377,7 +377,8 @@ impl std::fmt::Debug for Runtime {
 mod tests {
     use super::*;
     use lwt_sync::SpinLock;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     fn rt(workers: usize, policy: Policy) -> Runtime {
         Runtime::init(Config {
@@ -474,19 +475,35 @@ mod tests {
     fn work_is_stolen_across_workers() {
         let rt = rt(4, Policy::HelpFirst);
         let seen = Arc::new(SpinLock::new(std::collections::HashSet::new()));
-        let handles: Vec<_> = (0..200)
-            .map(|_| {
-                let seen = seen.clone();
-                rt.spawn(move || {
-                    seen.lock().insert(current_worker().unwrap());
-                    // Give thieves a window.
-                    std::thread::yield_now();
+        let first = Arc::new(AtomicBool::new(true));
+        let s = seen.clone();
+        // Spawned from the main ULT, so every unit lands on worker 0's
+        // own deque and is stealable at once (an external spawn waits
+        // in its single-consumer inbox until worker 0 batches it over).
+        rt.run(move |rt| {
+            let handles: Vec<_> = (0..200)
+                .map(|_| {
+                    let (seen, first) = (s.clone(), first.clone());
+                    rt.spawn(move || {
+                        seen.lock().insert(current_worker().unwrap());
+                        if first.swap(false, Ordering::AcqRel) {
+                            // Hold this worker — an OS-level wait, not
+                            // a yield — until another one has run a
+                            // unit, so stealing is the only way the rest
+                            // can finish (worker 0 alone would otherwise
+                            // sometimes run all 200 before a thief wakes).
+                            let until = Instant::now() + Duration::from_secs(10);
+                            while seen.lock().len() < 2 && Instant::now() < until {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        }
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join();
-        }
+                .collect();
+            for h in handles {
+                h.join();
+            }
+        });
         // All spawned to worker 0; stealing must have spread them.
         let seen = seen.lock().clone();
         assert!(seen.len() > 1, "no work stealing happened: {seen:?}");

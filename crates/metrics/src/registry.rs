@@ -16,7 +16,7 @@ use crate::histogram::{Histogram, HistogramSummary};
 use crate::ring::EventRing;
 use crate::{Counter, Gauge};
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -231,6 +231,19 @@ pub fn timestamp_if_tracing() -> u64 {
         clock::now_ns()
     } else {
         0
+    }
+}
+
+/// Feed [`SPAWN_LATENCY`] the first time a unit stamped with
+/// [`timestamp_if_tracing`] is dispatched. The fast path (tracing off
+/// at spawn, or the stamp already consumed) is one relaxed load.
+#[inline]
+pub fn record_spawn_latency(stamp: &AtomicU64) {
+    if stamp.load(Ordering::Relaxed) != 0 {
+        let t0 = stamp.swap(0, Ordering::Relaxed);
+        if t0 != 0 {
+            SPAWN_LATENCY.record(clock::now_ns().saturating_sub(t0));
+        }
     }
 }
 

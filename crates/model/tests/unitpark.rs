@@ -2,9 +2,9 @@
 //! from `lwt-sched` (routed through its `sysapi` facade onto the
 //! `lwt-model` shims) explored under the deterministic scheduler.
 //!
-//! Every blocking wait of a stackful unit — `lwt_core::block_unit_on`
-//! over `lwt_ultcore::suspend` or `lwt_argobots::self_suspend` — rests
-//! on this one word. The unit publishes its waker, re-checks its
+//! Every blocking wait of a stackful unit, on any backend —
+//! `lwt_core::block_unit_on` over `lwt_ultcore::suspend` — rests on
+//! this one word. The unit publishes its waker, re-checks its
 //! condition, and switches away; `park` runs *after* the switch, on
 //! whatever code gained control, while the waker may call `unpark` at
 //! any point: before the park, in the middle of the switch, after it,

@@ -34,8 +34,8 @@
 //!   `crates/model/tests/waker.rs`).
 //! * [`UnitPark`] — the one-word suspend/awaken handshake of a
 //!   stackful unit (`CthSuspend`/`CthAwaken`,
-//!   `ABT_self_suspend`/`ABT_thread_resume`), shared by `lwt-ultcore`
-//!   and `lwt-argobots` (model-checked in
+//!   `ABT_self_suspend`/`ABT_thread_resume`), inside every backend's
+//!   `lwt_ultcore::UltCore` (model-checked in
 //!   `crates/model/tests/unitpark.rs`).
 //! * [`io_poll`] / [`set_io_poll`] — the reactor idle-poll seam: the
 //!   I/O reactor (`lwt-net`) registers a non-blocking poll hook that

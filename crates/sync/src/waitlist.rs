@@ -17,9 +17,9 @@
 //! Either the completer finds the waker, or the waiter's re-check finds
 //! the condition: both sides put a `SeqCst` fence between their store
 //! and their load, so "neither" is not an outcome (model-checked in
-//! `crates/model/tests/waitlist.rs`). Every suspend primitive the
-//! wakers resume — `lwt_ultcore::suspend`, `lwt_argobots::self_suspend`,
-//! `thread::park` — treats a wake that arrived early as a reason to
+//! `crates/model/tests/waitlist.rs`). Both suspend primitives the
+//! wakers resume — `lwt_ultcore::suspend` (every backend's ULTs) and
+//! `thread::park` — treat a wake that arrived early as a reason to
 //! return at once, so waiters simply loop.
 //!
 //! The list costs an un-awaited object nothing it can notice: no
@@ -131,7 +131,7 @@ impl WaitList {
     /// A whole wait: return once `cond` holds, blocked on this list in
     /// between through `block_on` — the caller's poll → suspend loop
     /// for whatever context it runs in (`lwt_ultcore::block_on`,
-    /// `lwt_argobots::block_on`, [`block_thread_on`]). A wait that
+    /// [`block_thread_on`]). A wait that
     /// actually blocks registers with the stall watchdog as a `kind`
     /// wait on the list's address — a field of the awaited unit or
     /// latch — so the blocked-unit table names what is waited *for*.

@@ -1,11 +1,11 @@
 //! # lwt-ultcore — the shared ULT executor core and worker engine
 //!
-//! Four of the workspace's runtimes (Qthreads, MassiveThreads, Converse
-//! Threads, Go) execute stackful user-level threads with identical
-//! low-level mechanics, and all five run the same worker loop and
-//! lifecycle around their queues; they differ only in *queue topology
-//! and policy* (the paper's Table I). This crate houses what they
-//! share, exactly once:
+//! All five of the workspace's runtimes (Argobots, Qthreads,
+//! MassiveThreads, Converse Threads, Go) execute stackful user-level
+//! threads with identical low-level mechanics and run the same worker
+//! loop and lifecycle around their queues; they differ only in *queue
+//! topology and policy* (the paper's Table I). This crate houses what
+//! they share, exactly once:
 //!
 //! * [`engine`] — the worker engine: [`Policy`] + [`worker_loop`] (the
 //!   scheduling loop of every worker, processor and stream),
@@ -14,7 +14,7 @@
 //!   `ReadyQueue`s of Go, MassiveThreads and Qthreads with their
 //!   [`Requeue`] hook) and [`TaskHost`] (task posting).
 //! * [`UltCore`] — the work-unit record (state word, saved context,
-//!   stack, entry closure, panic slot).
+//!   stack, entry closure, panic slot), for every backend's ULTs.
 //! * [`WorkerCtx`]/[`enter_worker`] — the per-OS-thread executor
 //!   context with the **post-switch protocol** (see below).
 //! * [`run_ult`] — claim + switch into a ULT from a worker loop.
@@ -32,11 +32,6 @@
 //!   ready queues as ULTs, with a hand-rolled waker vtable.
 //! * [`blocking`] — the `spawn_blocking` OS-thread pool, so blocking
 //!   syscalls never wedge a scheduler worker.
-//!
-//! The Argobots-model crate (`lwt-argobots`) runs the engine's loop and
-//! lifecycle but keeps its own work-unit record because its semantics
-//! are richer (two work-unit types, `yield_to` by handle, stackable
-//! schedulers); the four simpler runtimes share [`UltCore`].
 //!
 //! ## The post-switch protocol
 //!
@@ -69,7 +64,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
 use lwt_fiber::{cache, init_context, switch, switch_final, CachedStack, RawContext, StackSize};
-use lwt_metrics::registry::{emit, timestamp_if_tracing, COUNTERS, SPAWN_LATENCY};
+use lwt_metrics::registry::{emit, record_spawn_latency, timestamp_if_tracing, COUNTERS};
 use lwt_metrics::{span, timeline, EventKind};
 use lwt_chaos::BlockKind;
 use lwt_sched::UnitPark;
@@ -92,7 +87,9 @@ pub mod state {
 ///
 /// `worker` is the id passed to [`enter_worker`] by the worker loop the
 /// yield happened on — MassiveThreads pushes to that worker's own
-/// deque, Qthreads to the worker's shepherd, Go to the global queue.
+/// deque, Qthreads to the worker's shepherd, Go to the global queue;
+/// Argobots ignores it and sends the unit to its home pool
+/// ([`UltCore::home_queue`]).
 pub trait Requeue: Send + Sync + 'static {
     /// Make a yielded `ult` runnable again; called on `worker`'s own
     /// thread. The core has already stored `READY` (Release) into the
@@ -151,6 +148,11 @@ pub struct UltCore {
     /// last suspended on.
     home: OnceLock<Weak<dyn Requeue>>,
     home_worker: AtomicUsize,
+    /// The queue this unit belongs to whichever worker runs it, for a
+    /// runtime whose hook places units by queue rather than by worker
+    /// (Argobots' home pool); 0 and unread elsewhere. Written once at
+    /// creation, like `span`; a `u32` fits the state word's padding.
+    home_queue: u32,
     /// Creation timestamp for the spawn-to-first-run histogram; zero
     /// when tracing is off (the stamp is skipped) or already consumed.
     spawn_ns: AtomicU64,
@@ -178,7 +180,7 @@ impl UltCore {
     where
         F: FnOnce() + Send + 'static,
     {
-        Self::with_span(stack_size, span::on_spawn(), f)
+        Self::build(stack_size, span::on_spawn(), 0, f)
     }
 
     /// Like [`UltCore::new`], but adopting `span` instead of allocating
@@ -188,6 +190,28 @@ impl UltCore {
     /// happens later inside a message). Pass `0` to run span-less.
     #[must_use]
     pub fn with_span<F>(stack_size: StackSize, span: u64, f: F) -> Arc<UltCore>
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        Self::build(stack_size, span, 0, f)
+    }
+
+    /// Like [`UltCore::new`], for a unit that belongs to queue
+    /// `home_queue` of its runtime ([`UltCore::home_queue`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home_queue` does not fit in a `u32`.
+    #[must_use]
+    pub fn with_home<F>(stack_size: StackSize, home_queue: usize, f: F) -> Arc<UltCore>
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        let home_queue = u32::try_from(home_queue).expect("queue index fits in u32");
+        Self::build(stack_size, span::on_spawn(), home_queue, f)
+    }
+
+    fn build<F>(stack_size: StackSize, span: u64, home_queue: u32, f: F) -> Arc<UltCore>
     where
         F: FnOnce() + Send + 'static,
     {
@@ -203,6 +227,7 @@ impl UltCore {
             joiners: WaitList::new(),
             home: OnceLock::new(),
             home_worker: AtomicUsize::new(0),
+            home_queue,
             spawn_ns: AtomicU64::new(timestamp_if_tracing()),
             span,
         });
@@ -232,17 +257,18 @@ impl UltCore {
             .is_ok()
     }
 
-    /// Feed the spawn-to-first-run histogram the first time the unit
-    /// is dispatched. The fast path (tracing off, or already consumed)
-    /// is one relaxed load.
+    /// The lifecycle state word (one of [`state`]'s constants).
+    #[must_use]
+    pub fn state(&self) -> u8 {
+        self.state.load(Ordering::Acquire)
+    }
+
+    /// The queue index given to [`UltCore::with_home`] (0 otherwise):
+    /// where an Argobots ULT goes back to on every yield and wake.
+    #[must_use]
     #[inline]
-    fn record_first_run(&self) {
-        if self.spawn_ns.load(Ordering::Relaxed) != 0 {
-            let t0 = self.spawn_ns.swap(0, Ordering::Relaxed);
-            if t0 != 0 {
-                SPAWN_LATENCY.record(lwt_metrics::clock::now_ns().saturating_sub(t0));
-            }
-        }
+    pub fn home_queue(&self) -> usize {
+        self.home_queue as usize
     }
 
     /// The causal span id assigned at spawn (0 when tracing was off).
@@ -430,7 +456,7 @@ pub fn run_ult(ult: &Arc<UltCore>) -> bool {
     if !ult.claim() {
         return false;
     }
-    ult.record_first_run();
+    record_spawn_latency(&ult.spawn_ns);
     if ult.span != 0 {
         // The unit's events (and any spans it spawns) attribute to it.
         span::set_current(ult.span);
@@ -534,7 +560,7 @@ pub fn yield_to(target: &Arc<UltCore>) -> bool {
     }
     COUNTERS.yields.inc();
     emit(EventKind::Yield, 0);
-    target.record_first_run();
+    record_spawn_latency(&target.spawn_ns);
     if target.span != 0 {
         span::set_current(target.span);
     }
