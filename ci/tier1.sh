@@ -58,7 +58,7 @@ echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 CARGO_TARGET_DIR=target/lwt-model \
     RUSTFLAGS="${RUSTFLAGS:-} --cfg lwt_model" \
     timeout 600 cargo test -q --offline -p lwt-model
-echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker + unitpark + waitlist)"
+echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker + unitpark + waitlist + io_standby)"
 
 echo "== tier1: trace-export smoke (LWT_TRACE=1)"
 # One real microbench run with tracing on must produce a parseable
@@ -175,23 +175,28 @@ echo "== tier1: idle-CPU smoke (parked pools, blocked sockets and blocked joiner
 cargo run --release --offline -q --bin idle_cpu
 echo "   ok: parked pools, blocked sockets and blocked joiners idle at ~zero CPU; park/unpark counters balance"
 
-echo "== tier1: serving smoke (reactor echo, 100 clients x 5 backends)"
+echo "== tier1: serving smoke (reactor echo, 100 clients x 5 backends, adaptive + passive)"
 # The lwt-net reactor must carry a loopback echo server with 100
 # concurrent clients on every backend, all joins bounded (the test
 # itself fails on any hang), with the stall watchdog armed: a worker
 # wedged by a blocking read — the failure mode the reactor exists to
 # prevent — would surface here as an "lwt-watchdog:" stderr report.
+# Then again under LWT_WAIT_POLICY=passive: no grace window, so a
+# worker commits to sleep on nearly every idle episode and hands the
+# reactor's poller role back to the driver each time (DESIGN.md §15).
 SERVING_LOG="target/lwt-serving-smoke.log"
-LWT_WATCHDOG=1 \
-    cargo test -q --offline --test serving \
-    ci_smoke_100_concurrent_clients_every_backend \
-    >/dev/null 2>"$SERVING_LOG"
-if grep -q "lwt-watchdog:" "$SERVING_LOG"; then
-    echo "FAIL: watchdog stall reports during serving smoke:" >&2
-    grep "lwt-watchdog:" "$SERVING_LOG" >&2
-    exit 1
-fi
-echo "   ok: 100-client echo green on all backends, zero stall reports"
+for policy in adaptive passive; do
+    LWT_WATCHDOG=1 LWT_WAIT_POLICY=$policy \
+        cargo test -q --offline --test serving \
+        ci_smoke_100_concurrent_clients_every_backend \
+        >/dev/null 2>"$SERVING_LOG"
+    if grep -q "lwt-watchdog:" "$SERVING_LOG"; then
+        echo "FAIL: watchdog stall reports during serving smoke ($policy):" >&2
+        grep "lwt-watchdog:" "$SERVING_LOG" >&2
+        exit 1
+    fi
+    echo "   ok ($policy): 100-client echo green on all backends, zero stall reports"
+done
 
 echo "== tier1: overload smoke (4x connection cap vs 1-worker server)"
 # The overload contract under the watchdog, two parts. First the

@@ -102,6 +102,9 @@ pub struct Counters {
     /// registration fired. Deliveries with nobody waiting (the
     /// optimistic try-first path won) are not counted.
     pub io_wakes: Counter,
+    /// Blocking `epoll_wait` returns on the reactor driver thread:
+    /// driver wakes that no idle worker's poll made unnecessary (lwt-net).
+    pub io_driver_turns: Counter,
     /// Deadlines armed on the timer wheel (`lwt_sched::timer`).
     pub timers_armed: Counter,
     /// Armed timers that reached their deadline and fired.
@@ -156,6 +159,7 @@ impl Counters {
             io_registrations: Counter::new(),
             io_events: Counter::new(),
             io_wakes: Counter::new(),
+            io_driver_turns: Counter::new(),
             timers_armed: Counter::new(),
             timers_fired: Counter::new(),
             timers_cancelled: Counter::new(),
@@ -394,6 +398,8 @@ pub struct CounterSnapshot {
     pub io_events: u64,
     /// [`Counters::io_wakes`].
     pub io_wakes: u64,
+    /// [`Counters::io_driver_turns`].
+    pub io_driver_turns: u64,
     /// [`Counters::timers_armed`].
     pub timers_armed: u64,
     /// [`Counters::timers_fired`].
@@ -454,6 +460,7 @@ impl CounterSnapshot {
                 .saturating_sub(earlier.io_registrations),
             io_events: self.io_events.saturating_sub(earlier.io_events),
             io_wakes: self.io_wakes.saturating_sub(earlier.io_wakes),
+            io_driver_turns: self.io_driver_turns.saturating_sub(earlier.io_driver_turns),
             timers_armed: self.timers_armed.saturating_sub(earlier.timers_armed),
             timers_fired: self.timers_fired.saturating_sub(earlier.timers_fired),
             timers_cancelled: self.timers_cancelled.saturating_sub(earlier.timers_cancelled),
@@ -521,6 +528,7 @@ pub fn snapshot() -> MetricsSnapshot {
             io_registrations: c.io_registrations.get(),
             io_events: c.io_events.get(),
             io_wakes: c.io_wakes.get(),
+            io_driver_turns: c.io_driver_turns.get(),
             timers_armed: c.timers_armed.get(),
             timers_fired: c.timers_fired.get(),
             timers_cancelled: c.timers_cancelled.get(),
@@ -565,6 +573,7 @@ pub fn reset() {
     c.io_registrations.reset();
     c.io_events.reset();
     c.io_wakes.reset();
+    c.io_driver_turns.reset();
     c.timers_armed.reset();
     c.timers_fired.reset();
     c.timers_cancelled.reset();

@@ -27,7 +27,9 @@
 //! * **Two pollers, one epoll set.** A dedicated driver thread blocks
 //!   in `epoll_wait`, and idle workers poll the same set with a zero
 //!   timeout through the `lwt_sched::io_poll` hook (behind a try-lock)
-//!   before parking. The kernel hands each edge to exactly one
+//!   before parking; while they poll, the driver naps one wheel tick at
+//!   a time instead (`lwt_sched::IoStandby`), so no edge pays it an
+//!   OS-thread wake. The kernel hands each edge to exactly one
 //!   concurrent waiter, so double delivery cannot happen; double
 //!   *observation* of the flag is harmless.
 //! * **Zero-syscall wakes, wheel-driven sleeps.** The driver owns the
@@ -40,15 +42,16 @@
 //!   firing even if the driver thread is starved of CPU.
 //! * **Chaos.** `NetDelayedReadiness` stashes an observed event for
 //!   one dispatch turn (never drops it — ET edges are not redelivered)
-//!   to widen the readiness/park race window; a non-empty stash forces
-//!   the next sleep to a zero timeout so the delay stays one turn.
+//!   to widen the readiness/park race window; whichever turn comes
+//!   first flushes it — an idle poll's, or the driver's (a non-empty
+//!   stash forces its sleep to a zero timeout, and a nap is one tick).
 
 use std::collections::HashMap;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::task::{Context, Poll, Waker};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lwt_chaos::{should_inject, FaultSite};
 use lwt_metrics::{emit, EventKind, COUNTERS};
@@ -256,11 +259,12 @@ pub(crate) struct Reactor {
     wheel: TimerWheel,
     epoch: Instant,
     /// Absolute tick the driver plans to sleep until (`u64::MAX` when
-    /// it blocks indefinitely). An armer that beats this plan signals
-    /// the eventfd so the driver replans. Synchronization: the driver
-    /// stores the plan *before* re-reading the wheel, and an armer
-    /// inserts *before* loading the plan; the wheel's internal lock
-    /// orders the two, so one side always sees the other.
+    /// it blocks indefinitely, the nap's end while it naps). An armer
+    /// that beats this plan signals the eventfd so the driver replans.
+    /// Synchronization: the driver stores the plan *before* re-reading
+    /// the wheel, and an armer inserts *before* loading the plan; the
+    /// wheel's internal lock orders the two, so one side always sees
+    /// the other.
     planned_wake: AtomicU64,
 }
 
@@ -311,10 +315,21 @@ pub(crate) fn reactor() -> &'static Reactor {
 
 fn driver_loop(r: &'static Reactor) {
     let mut buf = vec![sys::EpollEvent::ZERO; EVENT_BATCH];
+    let mut look = lwt_sched::IoLook::default();
     loop {
-        r.wheel.advance(r.now_ms());
-        let timeout = r.plan_sleep();
-        r.turn(&mut buf, timeout);
+        let now = r.now_ms();
+        r.wheel.advance(now);
+        // While workers poll, nap one wheel tick (1 ms), then take what
+        // arrived (if all were busy, nobody did). The nap's end is the
+        // plan, so an arm it covers does not signal the eventfd.
+        r.planned_wake.store(now + 1, Ordering::SeqCst);
+        let timeout = if lwt_sched::IO_STANDBY.stand_by(&mut look, Duration::from_millis(1)) {
+            0
+        } else {
+            COUNTERS.io_driver_turns.inc();
+            r.plan_sleep()
+        };
+        r.turn_with(&mut buf, timeout);
     }
 }
 
@@ -424,12 +439,6 @@ impl Reactor {
         }
         let delta = plan.saturating_sub(self.now_ms());
         i32::try_from(delta).unwrap_or(i32::MAX).max(0)
-    }
-
-    /// One dispatch turn against the shared event buffer (driver
-    /// thread path).
-    fn turn(&self, buf: &mut [sys::EpollEvent], timeout_ms: i32) -> usize {
-        self.turn_with(buf, timeout_ms)
     }
 
     /// One dispatch turn: flush chaos-delayed observations, fetch one

@@ -434,6 +434,7 @@ fn pool_worker_main(inner: &Arc<RtInner>, index: usize, parker: &Parker) {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::time::{Duration, Instant};
 
     fn omp(n: usize, flavor: Flavor) -> OpenMp {
         OpenMp::init(Config {
@@ -526,32 +527,40 @@ mod tests {
 
     #[test]
     fn tasks_single_region_icc_steals() {
-        let rt = omp(3, Flavor::Icc);
-        let executors = Arc::new(SpinLock::new(HashSet::new()));
-        // Stealing is a race the thieves can lose on a loaded 2-core
-        // box (the creator drains its own 500 tasks in under a
-        // millisecond), so give them a few regions to win one.
-        for _ in 0..20 {
-            let count = Arc::new(AtomicUsize::new(0));
-            rt.parallel(|ctx| {
-                if ctx.is_master() {
-                    for _ in 0..500 {
-                        let (count, executors) = (count.clone(), executors.clone());
-                        ctx.task(move || {
-                            count.fetch_add(1, Ordering::Relaxed);
-                            executors.lock().insert(std::thread::current().id());
-                            // Widen the stealing window.
-                            std::thread::yield_now();
-                        });
-                    }
-                }
-                ctx.taskwait();
-            });
-            assert_eq!(count.load(Ordering::Relaxed), 500);
-            if executors.lock().len() > 1 {
-                break;
+        // Bounded, so a regression fails the assertion instead of hanging.
+        fn wait_for(cond: impl Fn() -> bool) {
+            let until = Instant::now() + Duration::from_secs(10);
+            while !cond() && Instant::now() < until {
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
+        let rt = omp(3, Flavor::Icc);
+        let executors = Arc::new(SpinLock::new(HashSet::new()));
+        let count = Arc::new(AtomicUsize::new(0));
+        let created = AtomicBool::new(false);
+        rt.parallel(|ctx| {
+            if ctx.is_master() {
+                for _ in 0..500 {
+                    let (count, executors) = (count.clone(), executors.clone());
+                    ctx.task(move || {
+                        count.fetch_add(1, Ordering::Relaxed);
+                        executors.lock().insert(std::thread::current().id());
+                        // The first thread to run a task holds until
+                        // another one has: left alone, the creator can
+                        // drain all 500 before a thief gets a turn.
+                        wait_for(|| executors.lock().len() > 1);
+                    });
+                    created.store(true, Ordering::Release);
+                }
+            } else {
+                // A member reaching taskwait before the first task
+                // exists drains nothing and waits out the region in the
+                // end barrier, which runs no tasks: it could not steal.
+                wait_for(|| created.load(Ordering::Acquire));
+            }
+            ctx.taskwait();
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 500);
         // Work stealing should spread execution beyond the creator.
         assert!(executors.lock().len() > 1, "no stealing happened");
         rt.shutdown();

@@ -40,7 +40,8 @@
 //! * [`io_poll`] / [`set_io_poll`] — the reactor idle-poll seam: the
 //!   I/O reactor (`lwt-net`) registers a non-blocking poll hook that
 //!   every backend calls when a steal sweep comes up dry, so readiness
-//!   events are collected before a worker parks.
+//!   events are collected before a worker parks; [`IoStandby`] lets
+//!   the reactor driver step aside while workers poll.
 //! * [`TimerWheel`] — the hierarchical timer wheel behind every
 //!   deadline in the serving stack (TCP read/write deadlines, HTTP
 //!   idle/header timeouts, graceful-drain deadlines). The reactor
@@ -62,7 +63,9 @@ mod victim;
 
 pub use chase_lev::{ChaseLev, Steal, Stealer, Worker};
 pub use injector::Injector;
-pub use io::{io_poll, io_poll_registered, set_io_poll};
+pub use io::{
+    io_hand_back, io_poll, io_poll_registered, set_io_poll, IoLook, IoStandby, IO_STANDBY,
+};
 pub use park::{
     current_wait_policy, force_wait_policy, reset_wait_policy_to_env, ParkGroup, ParkResult,
     WaitPolicy,

@@ -285,8 +285,9 @@ impl ParkGroup {
             // between work units never pay a sleep/wake round trip.
             // The reactor is polled too: with blocked units suspended
             // instead of spinning, an idle-but-awake worker is the
-            // common state of a serving pool, and readiness it
-            // collects here skips the driver-thread hop entirely.
+            // common state of a serving pool. While workers poll, the
+            // reactor driver steps aside (`crate::io`) and readiness
+            // reaches its waiter from here, without a driver wake.
             for _ in 0..ADAPTIVE_GRACE_YIELDS {
                 crate::sysapi::yield_thread();
                 if crate::io_poll() > 0 || pending() > 0 {
@@ -303,6 +304,9 @@ impl ParkGroup {
         COUNTERS.workers_parked.rise();
         emit(EventKind::WorkerParked, worker as u64);
         lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Parked);
+        // A sleeper polls no more: hand the poller role back to the
+        // reactor driver, so a fully parked pool still hears readiness.
+        crate::io_hand_back();
 
         // Real build: sleep with the policy's backstop. Model build:
         // sleep without one, so a lost wake is a detected livelock

@@ -62,7 +62,7 @@ impl Default for Parker {
 impl Parker {
     /// A parker with no pending token.
     #[must_use]
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Parker {
             state: AtomicU8::new(IDLE),
             #[cfg(not(lwt_model))]

@@ -633,6 +633,8 @@ pub fn awaken(ult: &Arc<UltCore>) -> bool {
                 c.fetch_sub(1, Ordering::Release);
             }
         }
+        // Woken, even if its worker has already run it to the end.
+        return true;
     }
     !ult.is_terminated()
 }

@@ -190,6 +190,11 @@ fn reactor_read_does_not_wedge_the_single_worker() {
 /// Read one full HTTP response (head + Content-Length body) off a
 /// stream, returning it as text.
 fn read_response(stream: &TcpStream) -> String {
+    read_response_with(|chunk| stream.read(chunk).expect("response read"))
+}
+
+/// [`read_response`] over any `read`.
+fn read_response_with(mut read: impl FnMut(&mut [u8]) -> usize) -> String {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 2048];
     loop {
@@ -207,7 +212,7 @@ fn read_response(stream: &TcpStream) -> String {
                 return String::from_utf8_lossy(&buf[..head_end + clen]).to_string();
             }
         }
-        let n = stream.read(&mut chunk).expect("response read");
+        let n = read(&mut chunk);
         assert_ne!(n, 0, "server closed mid-response");
         buf.extend_from_slice(&chunk[..n]);
     }
@@ -251,6 +256,64 @@ fn http_keepalive_roundtrips_every_backend() {
         let resp = join_within(client, "oversized-header client");
         assert!(resp.contains("431"), "on {kind}: {resp}");
 
+        server.shutdown();
+        glt.finalize().expect("clean drain");
+    }
+}
+
+/// Who harvests a keep-alive request's readiness: while a worker polls
+/// the reactor, the driver thread steps aside, so closed-loop requests
+/// cost it (almost) no `epoll_wait` returns — about one per request
+/// when the driver harvested every edge itself. And once the load
+/// stops and both workers sleep, the driver has the role back: one
+/// more request still completes.
+#[test]
+fn keepalive_edges_are_harvested_without_the_driver_every_backend() {
+    if !isolated("keepalive_edges_are_harvested_without_the_driver_every_backend") {
+        return;
+    }
+    use std::io::Write as _;
+    const REQUESTS: u64 = 5_000;
+    const REQ: &[u8] = b"GET /k HTTP/1.1\r\nHost: t\r\n\r\n";
+    for kind in BackendKind::ALL {
+        let glt = Glt::builder(kind).workers(2).build();
+        let server = http::serve(&glt, TcpListener::bind("127.0.0.1:0").expect("bind"), |_| {
+            http::Response::ok("k")
+        })
+        .expect("serve");
+        let client = std::net::TcpStream::connect(server.addr()).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        let roundtrip = || {
+            (&client).write_all(REQ).expect("request write");
+            let resp = read_response_with(|chunk| {
+                std::io::Read::read(&mut &client, chunk).expect("response read")
+            });
+            assert!(resp.starts_with("HTTP/1.1 200 OK"), "on {kind}: {resp}");
+        };
+        roundtrip();
+
+        // Up to five rounds, because the other tests of this binary run
+        // meanwhile: a worker they keep off the CPU for a whole tick
+        // polls nothing, and the driver rightly takes over for a while.
+        // Where the driver harvests every edge itself, every round
+        // reads about 1.0.
+        let mut rounds = Vec::new();
+        while rounds.len() < 5 && rounds.iter().all(|&r| r >= 0.2) {
+            let before = lwt::metrics::snapshot().counters;
+            for _ in 0..REQUESTS {
+                roundtrip();
+            }
+            let turns = lwt::metrics::snapshot().counters.delta(&before).io_driver_turns;
+            rounds.push(turns as f64 / REQUESTS as f64);
+        }
+        assert!(
+            rounds.iter().any(|&r| r < 0.2),
+            "driver turns per request on {kind}, by round: {rounds:.3?}"
+        );
+
+        wait_parked(2, &format!("after the load on {kind}"));
+        roundtrip();
+        drop(client);
         server.shutdown();
         glt.finalize().expect("clean drain");
     }
@@ -304,21 +367,42 @@ fn quiet_pair() -> (TcpStream, std::net::TcpStream) {
     (stream, peer)
 }
 
+/// Counters are process-global, so a test that asserts on them runs its
+/// body in a child process executing only that test (the other tests
+/// here yield in their joins). `true` in the child, which runs the
+/// body; the parent re-execs the binary and checks the child's verdict.
+fn isolated(test: &str) -> bool {
+    const CHILD: &str = "SERVING_TEST_ISOLATED_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        return true;
+    }
+    let status = std::process::Command::new(std::env::current_exe().expect("current_exe"))
+        .args(["--exact", test, "--nocapture"])
+        .env(CHILD, "1")
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("re-exec test binary");
+    assert!(status.success(), "isolated child failed: {status}");
+    false
+}
+
+/// Wait, bounded, until `n` workers sleep on their parkers. One sample
+/// of the gauge would race: a parked adaptive worker still wakes every
+/// 20 ms for a backstop re-sweep, and a sample landing in one reads a
+/// worker awake. A spinning pool never gets there at all.
+fn wait_parked(n: u64, what: &str) {
+    let since = std::time::Instant::now();
+    while lwt::metrics::snapshot().counters.workers_parked_level != n {
+        assert!(since.elapsed() < Duration::from_secs(5), "workers not parked {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// A ULT blocked on a quiet socket costs nothing: no yields, both
-/// workers parked, and a peer write resumes it promptly. Counters are
-/// process-global, so the body runs in a child process that executes
-/// only this test (the other tests here yield in their joins).
+/// workers parked, and a peer write resumes it promptly.
 #[test]
 fn blocked_ult_is_suspended_not_spinning_every_backend() {
-    const CHILD: &str = "SERVING_TEST_ISOLATED_CHILD";
-    if std::env::var_os(CHILD).is_none() {
-        let status = std::process::Command::new(std::env::current_exe().expect("current_exe"))
-            .args(["--exact", "blocked_ult_is_suspended_not_spinning_every_backend"])
-            .env(CHILD, "1")
-            .stdout(std::process::Stdio::null())
-            .status()
-            .expect("re-exec test binary");
-        assert!(status.success(), "isolated child failed: {status}");
+    if !isolated("blocked_ult_is_suspended_not_spinning_every_backend") {
         return;
     }
     use std::io::Write as _;
@@ -347,10 +431,11 @@ fn blocked_ult_is_suspended_not_spinning_every_backend() {
             0,
             "a blocked reader yielded on {kind}: the wait is spinning"
         );
-        assert_eq!(
-            after.workers_parked_level, 2,
-            "workers not parked behind a blocked reader on {kind}"
-        );
+        // Asleep but for the backstop re-sweeps: about 5 per worker in
+        // 100 ms at the adaptive 20 ms backstop.
+        let parks = after.delta(&before).parks;
+        assert!(parks <= 20, "{parks} parks in 100 ms behind a blocked reader on {kind}");
+        wait_parked(2, &format!("behind a blocked reader on {kind}"));
 
         let sent = std::time::Instant::now();
         (&peer).write_all(b"wake").expect("peer write");
