@@ -13,6 +13,11 @@ cd "$(dirname "$0")/.."
 
 export RUSTFLAGS="${RUSTFLAGS:-} -D warnings"
 
+# Stages whose numbers depend on thread placement run pinned to one CPU
+# (the idle-CPU fence's paced rows, the spawn-path smoke).
+PIN=""
+if command -v taskset >/dev/null 2>&1; then PIN="taskset -c 0"; fi
+
 echo "== tier1: hermetic dependency guard"
 # Every package in the resolved graph must be a path dependency inside
 # this workspace ("source": null). Any registry/git source is a policy
@@ -58,7 +63,7 @@ echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 CARGO_TARGET_DIR=target/lwt-model \
     RUSTFLAGS="${RUSTFLAGS:-} --cfg lwt_model" \
     timeout 600 cargo test -q --offline -p lwt-model
-echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park + waker + unitpark + waitlist + io_standby)"
+echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park, incl. adaptive with a spent grace budget + waker + unitpark + waitlist + io_standby)"
 
 echo "== tier1: trace-export smoke (LWT_TRACE=1)"
 # One real microbench run with tracing on must produce a parseable
@@ -169,11 +174,15 @@ echo "== tier1: idle-CPU smoke (parked pools, blocked sockets and blocked joiner
 # relax loop creeping back into the I/O wait path), and so must
 # blocked joiners: a ULT and an OS thread each joining a sleeping unit
 # are suspended / parked too (held to 20 ms). The park/unpark
-# counters must balance once everything is finalized. The binary
+# counters must balance once everything is finalized. Then the paced
+# rows: a keep-alive server taking 200 requests 2 ms apart may cost at
+# most 1.5x the server CPU per request under adaptive that it costs
+# under passive — grace windows that never catch a request must stop
+# being paid for. Pinned, so a yield is a real switch. The binary
 # asserts all of it and exits non-zero on violation (tolerances:
 # LWT_IDLE_CPU_TOLERANCE_MS, default 150 ms per 800 ms idle window).
-cargo run --release --offline -q --bin idle_cpu
-echo "   ok: parked pools, blocked sockets and blocked joiners idle at ~zero CPU; park/unpark counters balance"
+$PIN cargo run --release --offline -q --bin idle_cpu
+echo "   ok: parked pools, blocked sockets and blocked joiners idle at ~zero CPU; paced adaptive <= 1.5x passive; park/unpark counters balance"
 
 echo "== tier1: serving smoke (reactor echo, 100 clients x 5 backends, adaptive + passive)"
 # The lwt-net reactor must carry a loopback echo server with 100
@@ -343,8 +352,6 @@ echo "== tier1: spawn-path smoke (fig2_create vs committed baseline)"
 # relative LWT_BENCH_DIR would land under crates/bench/.
 SMOKE_DIR="$PWD/target/lwt-bench-smoke"
 rm -f "$SMOKE_DIR/BENCH_fig2_create.json"
-PIN=""
-if command -v taskset >/dev/null 2>&1; then PIN="taskset -c 0"; fi
 LWT_BENCH_DIR="$SMOKE_DIR" LWT_THREADS=1 \
     $PIN cargo bench --offline -q -p lwt-bench --bench fig2_create >/dev/null
 python3 - results/BENCH_fig2_create.json "$SMOKE_DIR/BENCH_fig2_create.json" <<'PY'

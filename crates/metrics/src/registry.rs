@@ -73,6 +73,9 @@ pub struct Counters {
     /// Parked workers that resumed — wake-one notification, backstop
     /// timeout, or shutdown unpark (lwt-sched).
     pub unparks: Counter,
+    /// OS-thread yields spent inside `adaptive` grace windows, the
+    /// spin before a park (lwt-sched).
+    pub grace_yields: Counter,
     /// Workers currently asleep on their parker (lwt-sched). The
     /// high-water mark records the deepest simultaneous sleep.
     pub workers_parked: Gauge,
@@ -151,6 +154,7 @@ impl Counters {
             stalls_detected: Counter::new(),
             parks: Counter::new(),
             unparks: Counter::new(),
+            grace_yields: Counter::new(),
             workers_parked: Gauge::new(),
             ring_dropped: Counter::new(),
             async_polls: Counter::new(),
@@ -380,6 +384,8 @@ pub struct CounterSnapshot {
     pub parks: u64,
     /// [`Counters::unparks`].
     pub unparks: u64,
+    /// [`Counters::grace_yields`].
+    pub grace_yields: u64,
     /// Current [`Counters::workers_parked`] level.
     pub workers_parked_level: u64,
     /// [`Counters::workers_parked`] high-water mark.
@@ -449,6 +455,7 @@ impl CounterSnapshot {
             stalls_detected: self.stalls_detected.saturating_sub(earlier.stalls_detected),
             parks: self.parks.saturating_sub(earlier.parks),
             unparks: self.unparks.saturating_sub(earlier.unparks),
+            grace_yields: self.grace_yields.saturating_sub(earlier.grace_yields),
             workers_parked_level: self.workers_parked_level,
             workers_parked_high_water: self.workers_parked_high_water,
             ring_dropped: self.ring_dropped.saturating_sub(earlier.ring_dropped),
@@ -519,6 +526,7 @@ pub fn snapshot() -> MetricsSnapshot {
             stalls_detected: c.stalls_detected.get(),
             parks: c.parks.get(),
             unparks: c.unparks.get(),
+            grace_yields: c.grace_yields.get(),
             workers_parked_level: parked_level,
             workers_parked_high_water: parked_high,
             ring_dropped: c.ring_dropped.get(),
@@ -565,6 +573,7 @@ pub fn reset() {
     c.stalls_detected.reset();
     c.parks.reset();
     c.unparks.reset();
+    c.grace_yields.reset();
     c.workers_parked.reset();
     c.ring_dropped.reset();
     c.async_polls.reset();

@@ -25,6 +25,15 @@ fn quick() -> Checker {
     Checker::new().max_executions(400_000).time_budget_ms(45_000)
 }
 
+/// The wait policy is process-wide: tests that pin it run one at a time.
+static POLICY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn pin_policy(p: WaitPolicy) -> std::sync::MutexGuard<'static, ()> {
+    let guard = POLICY.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    force_wait_policy(p);
+    guard
+}
+
 /// The Parker token is never lost: an unpark delivered at *any* point
 /// relative to the park — before the sleeper arrives, mid-descent, or
 /// while it sleeps — must let the park return. A broken token machine
@@ -48,7 +57,7 @@ fn parker_unpark_before_or_during_park_is_not_lost() {
 /// wake — the blocking model-build sleep would livelock.
 #[test]
 fn wake_one_never_loses_the_only_wake() {
-    force_wait_policy(WaitPolicy::Passive);
+    let _policy = pin_policy(WaitPolicy::Passive);
     quick().check(|| {
         let group = Arc::new(ParkGroup::new(1));
         let work = Arc::new(AtomicUsize::new(0));
@@ -77,38 +86,55 @@ fn wake_one_never_loses_the_only_wake() {
 /// sequence (stop flag, then tokens for all).
 #[test]
 fn one_push_one_notify_feeds_a_fully_parked_pair() {
-    force_wait_policy(WaitPolicy::Passive);
-    quick().check(|| {
-        let group = Arc::new(ParkGroup::new(2));
-        let work = Arc::new(AtomicUsize::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers: Vec<_> = (0..2)
-            .map(|w| {
-                let (g, wk, st) = (Arc::clone(&group), Arc::clone(&work), Arc::clone(&stop));
-                thread::spawn(move || loop {
-                    if st.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if wk.compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
-                        continue; // consumed the unit; re-sweep
-                    }
-                    // Both queues and the stop flag count as "pending":
-                    // a park racing the shutdown stores must abort.
-                    let _ = g.park(w, None, || {
-                        wk.load(Ordering::SeqCst) + usize::from(st.load(Ordering::SeqCst))
-                    });
-                })
+    let _policy = pin_policy(WaitPolicy::Passive);
+    quick().check(|| feed_a_fully_parked_pair(ParkGroup::new(2)));
+}
+
+/// The same pair under `adaptive` once both grace budgets have decayed
+/// to 0 (a paced server's steady state): no window runs, so every park
+/// is the passive sequence — announce, fence, re-check, hand-back,
+/// sleep — and the budget bookkeeping around the sleep must not disturb
+/// it. (The model clock reads every sleep as zero-length, which never
+/// counts as short, so the budgets stay spent.)
+#[test]
+fn one_push_one_notify_feeds_a_fully_parked_pair_with_spent_grace() {
+    let _policy = pin_policy(WaitPolicy::Adaptive);
+    quick().check(|| feed_a_fully_parked_pair(ParkGroup::with_spent_grace(2)));
+}
+
+/// Two workers sweep-or-park on `group` while one unit is pushed and
+/// notified, then the finalize sequence (stop flag, tokens for all)
+/// must release them.
+fn feed_a_fully_parked_pair(group: ParkGroup) {
+    let group = Arc::new(group);
+    let work = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let workers: Vec<_> = (0..2)
+        .map(|w| {
+            let (g, wk, st) = (Arc::clone(&group), Arc::clone(&work), Arc::clone(&stop));
+            thread::spawn(move || loop {
+                if st.load(Ordering::SeqCst) {
+                    break;
+                }
+                if wk.compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
+                    continue; // consumed the unit; re-sweep
+                }
+                // Both queues and the stop flag count as "pending":
+                // a park racing the shutdown stores must abort.
+                let _ = g.park(w, None, || {
+                    wk.load(Ordering::SeqCst) + usize::from(st.load(Ordering::SeqCst))
+                });
             })
-            .collect();
-        work.store(1, Ordering::SeqCst);
-        group.notify();
-        while work.load(Ordering::SeqCst) != 0 {
-            thread::yield_now();
-        }
-        stop.store(true, Ordering::SeqCst);
-        group.unpark_all();
-        for t in workers {
-            t.join();
-        }
-    });
+        })
+        .collect();
+    work.store(1, Ordering::SeqCst);
+    group.notify();
+    while work.load(Ordering::SeqCst) != 0 {
+        thread::yield_now();
+    }
+    stop.store(true, Ordering::SeqCst);
+    group.unpark_all();
+    for t in workers {
+        t.join();
+    }
 }

@@ -201,8 +201,14 @@ impl IoStandby {
 mod tests {
     use super::*;
 
+    static FAKE_POLLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// Counts its calls and dispatches nothing: the hook stays
+    /// registered for the rest of this test binary, and the grace-window
+    /// tests in `park.rs` need polls that find no readiness.
     fn fake_poll() -> usize {
-        7
+        FAKE_POLLS.fetch_add(1, Ordering::Relaxed);
+        0
     }
 
     #[test]
@@ -221,6 +227,8 @@ mod tests {
         // attempt must always lose.
         assert!(!set_io_poll(fake_poll) || !first);
         assert!(io_poll_registered());
-        assert_eq!(io_poll(), 7);
+        let before = FAKE_POLLS.load(Ordering::Relaxed);
+        assert_eq!(io_poll(), 0);
+        assert!(FAKE_POLLS.load(Ordering::Relaxed) > before, "the hook did not run");
     }
 }

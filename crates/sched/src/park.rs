@@ -41,22 +41,37 @@
 //! * `active` — never sleep: [`ParkGroup::park`] degrades to the old
 //!   bounded nap, for latency-critical runs that own their cores.
 //! * `passive` — sleep as soon as the caller's backoff is exhausted.
-//! * `adaptive` (default) — yield the OS thread for a short grace
-//!   window (re-checking for work, and polling the I/O reactor, each
-//!   round), then sleep.
+//! * `adaptive` (default) — yield the OS thread for a grace window of
+//!   up to 32 rounds (re-checking for work, and polling the I/O
+//!   reactor, each round), then sleep. The window's length is learned
+//!   per worker from the gaps it missed (below).
+//!
+//! ## The grace window learns
+//!
+//! A window only pays off when work arrives within it. Each slot keeps
+//! a budget: a window that finds work restores the full 32 rounds, one
+//! that runs out halves it (down to 0), and a sleep that a token ended
+//! within 4 × a full window's length restores it too — a window would
+//! nearly have caught that work. Under closed-loop load every window
+//! pays off and the budget stays at 32; on a paced server, whose gaps
+//! outlast any window, it settles at 0 and the worker goes straight to
+//! the sleep `passive` takes. The budget only decides how long an
+//! announced worker spins between its re-check and its sleep, never
+//! whether announce → fence → re-check → sleep runs, so it takes no part
+//! in wake correctness.
 //!
 //! Sleeps use a generous backstop timeout as defense in depth: even if
 //! a wake were lost, the worker re-sweeps within the backstop instead
 //! of hanging forever. Correctness never relies on it.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lwt_metrics::registry::{emit, COUNTERS};
 use lwt_metrics::EventKind;
 use lwt_sync::Parker;
 
 use crate::sysapi::{fence, AtomicBool, AtomicUsize};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// How an idle worker should wait for work (`OMP_WAIT_POLICY` analog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,9 +167,8 @@ pub enum ParkResult {
     Woken,
     /// The backstop timeout expired with no token; sweep and re-park.
     TimedOut,
-    /// The policy forbids sleeping (active), the adaptive grace window
-    /// saw no work yet, or the worker index has no slot: the worker
-    /// yielded/napped instead. Loop and re-sweep.
+    /// The policy forbids sleeping (active), or the worker index has no
+    /// slot: the worker napped instead. Loop and re-sweep.
     Spun,
 }
 
@@ -166,6 +180,61 @@ struct ParkSlot {
     /// worker still on its way down deposits a token the imminent
     /// sleep consumes immediately.
     announced: AtomicBool,
+    /// The adaptive grace budget (module docs).
+    grace: Grace,
+}
+
+/// One slot's learned grace window. Only the slot's owner reads or
+/// writes it, so these are relaxed `std` atomics outside the `sysapi`
+/// facade (the model checker sees no events here): the budget sets how
+/// long the announced owner spins between its re-check and its sleep,
+/// and takes no part in wake correctness.
+struct Grace {
+    /// Rounds the next window may spend, `0..=ADAPTIVE_GRACE_YIELDS`.
+    budget: AtomicU32,
+    /// How long the last expired full window took, in ns. 0 until one
+    /// expires.
+    full_window_ns: AtomicU64,
+}
+
+impl Grace {
+    fn new(budget: u32) -> Self {
+        Grace {
+            budget: AtomicU32::new(budget),
+            full_window_ns: AtomicU64::new(0),
+        }
+    }
+
+    fn budget(&self) -> u32 {
+        self.budget.load(Ordering::Relaxed)
+    }
+
+    fn restore(&self) {
+        self.budget.store(ADAPTIVE_GRACE_YIELDS, Ordering::Relaxed);
+    }
+
+    /// A window of `rounds` found nothing in `took`. Only a full window
+    /// is a sample of its own length: a window's fixed cost (the clock
+    /// reads, the first round's cold caches) would inflate a 1-round
+    /// window scaled by 32 about threefold. Every decay starts with a
+    /// full window, so the sample is never older than the last restore.
+    fn expired(&self, rounds: u32, took: Duration) {
+        if rounds == ADAPTIVE_GRACE_YIELDS {
+            self.full_window_ns
+                .store(took.as_nanos() as u64, Ordering::Relaxed);
+        }
+        self.budget.store(rounds / 2, Ordering::Relaxed);
+    }
+
+    /// A token ended a sleep of `took`: work arrived soon enough that a
+    /// window would nearly have caught it. The bound is 4 ×, not 1 ×,
+    /// because the sleep includes the wake latency a spinner never pays.
+    fn woken_after(&self, took: Duration) {
+        let window = self.full_window_ns.load(Ordering::Relaxed);
+        if (took.as_nanos() as u64) < GRACE_RESTORE_WINDOWS * window {
+            self.restore();
+        }
+    }
 }
 
 /// Parker/unparker state for one runtime's worker pool. See module
@@ -197,8 +266,12 @@ const PASSIVE_BACKSTOP: Duration = Duration::from_millis(200);
 #[cfg(not(lwt_model))]
 const ADAPTIVE_BACKSTOP: Duration = Duration::from_millis(20);
 /// OS-thread yields an `adaptive` worker spends re-checking for work
-/// before it commits to sleeping.
+/// before it commits to sleeping: the ceiling (and starting value) of
+/// each slot's learned budget.
 const ADAPTIVE_GRACE_YIELDS: u32 = 32;
+/// A token-ended sleep shorter than this many full windows restores
+/// the grace budget.
+const GRACE_RESTORE_WINDOWS: u64 = 4;
 /// Nap length for the `active` policy's (non-)park — the historical
 /// idle-loop nap the backends used before parking existed.
 const ACTIVE_NAP: Duration = Duration::from_micros(50);
@@ -207,11 +280,26 @@ impl ParkGroup {
     /// A group with `workers` parker slots (worker ids `0..workers`).
     #[must_use]
     pub fn new(workers: usize) -> Self {
+        Self::with_grace(workers, ADAPTIVE_GRACE_YIELDS)
+    }
+
+    /// A group whose grace budgets have all decayed to 0 — the state a
+    /// paced server settles in. For the model suite: decaying through
+    /// six real windows would spend 63 scheduler yields per worker on
+    /// state that takes no part in wake correctness.
+    #[cfg(lwt_model)]
+    #[must_use]
+    pub fn with_spent_grace(workers: usize) -> Self {
+        Self::with_grace(workers, 0)
+    }
+
+    fn with_grace(workers: usize, budget: u32) -> Self {
         ParkGroup {
             slots: (0..workers)
                 .map(|_| ParkSlot {
                     parker: Parker::new(),
                     announced: AtomicBool::new(false),
+                    grace: Grace::new(budget),
                 })
                 .collect(),
             idle: AtomicUsize::new(0),
@@ -280,7 +368,10 @@ impl ParkGroup {
             return ParkResult::FoundWork;
         }
 
-        if policy == WaitPolicy::Adaptive {
+        let adaptive = policy == WaitPolicy::Adaptive;
+        let rounds = if adaptive { slot.grace.budget() } else { 0 };
+        let window_start = (rounds > 0).then(Instant::now);
+        if rounds > 0 {
             // Grace window: cheap yields with re-checks, so brief gaps
             // between work units never pay a sleep/wake round trip.
             // The reactor is polled too: with blocked units suspended
@@ -288,13 +379,19 @@ impl ParkGroup {
             // common state of a serving pool. While workers poll, the
             // reactor driver steps aside (`crate::io`) and readiness
             // reaches its waiter from here, without a driver wake.
-            for _ in 0..ADAPTIVE_GRACE_YIELDS {
+            for _ in 0..rounds {
                 crate::sysapi::yield_thread();
+                COUNTERS.grace_yields.inc();
                 if crate::io_poll() > 0 || pending() > 0 {
+                    slot.grace.restore();
                     self.exit_idle(slot);
                     return ParkResult::FoundWork;
                 }
             }
+        }
+        let asleep_at = adaptive.then(Instant::now);
+        if let (Some(start), Some(end)) = (window_start, asleep_at) {
+            slot.grace.expired(rounds, crate::sysapi::between(start, end));
         }
 
         if let Some(hb) = heartbeat {
@@ -322,6 +419,9 @@ impl ParkGroup {
             true
         };
 
+        if let Some(asleep_at) = asleep_at.filter(|_| woken) {
+            slot.grace.woken_after(crate::sysapi::between(asleep_at, Instant::now()));
+        }
         lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Idle);
         COUNTERS.unparks.inc();
         COUNTERS.workers_parked.fall();
@@ -593,6 +693,91 @@ mod tests {
             t0.elapsed()
         );
         assert_eq!(g.idle_workers(), 0, "empty-handed wake must retract");
+        reset_wait_policy_to_env();
+    }
+
+    fn budget(g: &ParkGroup) -> u32 {
+        g.slots[0].grace.budget()
+    }
+
+    /// Six adaptive parks on worker 0 that find nothing, each sleeping
+    /// out its backstop; returns the budget after each.
+    fn decay(g: &ParkGroup) -> Vec<u32> {
+        (0..6)
+            .map(|_| {
+                assert_eq!(g.park(0, None, || 0), ParkResult::TimedOut);
+                budget(g)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_expired_window_halves_the_budget_down_to_zero() {
+        let _s = serial();
+        force_wait_policy(WaitPolicy::Adaptive);
+        let g = ParkGroup::new(1);
+        assert_eq!(budget(&g), ADAPTIVE_GRACE_YIELDS);
+        assert_eq!(decay(&g), [16, 8, 4, 2, 1, 0]);
+        assert!(g.slots[0].grace.full_window_ns.load(Ordering::Relaxed) > 0);
+        reset_wait_policy_to_env();
+    }
+
+    #[test]
+    fn a_window_that_finds_work_restores_the_full_budget() {
+        let _s = serial();
+        force_wait_policy(WaitPolicy::Adaptive);
+        let g = ParkGroup::new(1);
+        let _ = decay(&g);
+        // A budget of 0 runs no window, so pick one that still does:
+        // two expiries in, 8 rounds.
+        g.slots[0].grace.budget.store(8, Ordering::Relaxed);
+        // Dry at the post-announce re-check, work on the first round.
+        let calls = std::cell::Cell::new(0);
+        let r = g.park(0, None, || {
+            calls.set(calls.get() + 1);
+            usize::from(calls.get() > 1)
+        });
+        assert_eq!(r, ParkResult::FoundWork);
+        assert_eq!(calls.get(), 2, "the window ran one round");
+        assert_eq!(budget(&g), ADAPTIVE_GRACE_YIELDS);
+        reset_wait_policy_to_env();
+    }
+
+    #[test]
+    fn a_short_token_ended_sleep_restores_the_full_budget() {
+        let _s = serial();
+        force_wait_policy(WaitPolicy::Adaptive);
+        let g = ParkGroup::new(1);
+        let _ = decay(&g);
+        // A pre-deposited token ends the sleep at once: far inside 4 ×
+        // a full window. Retried because a preemption between the two
+        // clock reads can make even that sleep look long.
+        for _ in 0..5 {
+            g.slots[0].parker.unpark();
+            assert_eq!(g.park(0, None, || 0), ParkResult::Woken);
+            if budget(&g) == ADAPTIVE_GRACE_YIELDS {
+                break;
+            }
+        }
+        assert_eq!(budget(&g), ADAPTIVE_GRACE_YIELDS);
+        reset_wait_policy_to_env();
+    }
+
+    #[test]
+    fn a_spent_budget_skips_the_window_and_a_timeout_restores_nothing() {
+        let _s = serial();
+        force_wait_policy(WaitPolicy::Adaptive);
+        let g = ParkGroup::new(1);
+        let _ = decay(&g);
+        // A window a second long makes the 20 ms backstop a short
+        // sleep by length: only its cause, a timeout, keeps it from
+        // restoring the budget.
+        g.slots[0].grace.full_window_ns.store(1_000_000_000, Ordering::Relaxed);
+        let yields = COUNTERS.grace_yields.get();
+        assert_eq!(g.park(0, None, || 0), ParkResult::TimedOut);
+        assert_eq!(budget(&g), 0, "a backstop timeout restored the budget");
+        // Only the serialized tests park adaptively in this binary.
+        assert_eq!(COUNTERS.grace_yields.get(), yields, "a spent budget still yielded");
         reset_wait_policy_to_env();
     }
 }

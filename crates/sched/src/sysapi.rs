@@ -37,6 +37,21 @@ pub(crate) fn yield_thread() {
     lwt_model::thread::yield_now();
 }
 
+/// `end - start`, for the adaptive grace budget's bookkeeping. Model:
+/// always zero — model time is logical, and a branch on the wall clock
+/// would make an execution unreplayable. (A zero-length sleep never
+/// counts as short, so a spent budget stays spent there.)
+#[inline]
+pub(crate) fn between(start: std::time::Instant, end: std::time::Instant) -> std::time::Duration {
+    #[cfg(not(lwt_model))]
+    return end.saturating_duration_since(start);
+    #[cfg(lwt_model)]
+    {
+        let _ = (start, end);
+        std::time::Duration::ZERO
+    }
+}
+
 /// Sleep for a short nap. Model: a scheduler yield — model time is
 /// logical, so sleeping has no meaning beyond "let others run".
 #[inline]

@@ -6,7 +6,7 @@
 //!
 //! For each backend: start a pool, run a tiny warmup, then hold the
 //! runtime idle for a window while sampling process CPU time
-//! (`/proc/self/stat` utime+stime, all threads). Then the same window
+//! (`CLOCK_PROCESS_CPUTIME_ID`, all threads). Then the same window
 //! again with **idle sockets**: one acceptor ULT blocked in `accept`
 //! and four reader ULTs blocked in `read` on quiet connections — units
 //! waiting on I/O are suspended, so this must cost as little as the
@@ -15,10 +15,22 @@
 //! joiners**: a ULT and a plain OS thread each joining a unit that
 //! sleeps through the window, held to 20 ms (the old yield-and-nap
 //! join loops burned 140–240 ms here). Prints one CSV row per window and
-//! asserts its CPU stays under a tolerance; after all runtimes
-//! finalize, asserts the park/unpark counters balance
-//! (`parks == unparks > 0`). Exits non-zero on violation, so CI can
-//! run it bare.
+//! asserts its CPU stays under a tolerance.
+//!
+//! Then what the wait policy costs a mostly idle server, the **paced**
+//! rows: a keep-alive HTTP server on a fresh pool and an in-process
+//! client thread making 200 requests 2 ms apart, five times under
+//! `adaptive` and five under `passive`, alternating, each row the
+//! median server CPU per request (process CPU minus the client
+//! thread's own). `adaptive` may cost at most 1.5 × `passive`: a grace
+//! window that never catches a request must stop being paid for. A
+//! regression fence, not a benchmark — run it pinned to one CPU
+//! (`taskset -c 0`, as CI does), where a yield is a real switch and the
+//! ratio means something.
+//!
+//! After all runtimes finalize, asserts the park/unpark counters
+//! balance (`parks == unparks > 0`). Exits non-zero on violation, so CI
+//! can run it bare.
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
@@ -30,25 +42,44 @@ use std::time::Duration;
 
 use lwt::core::WaitPolicy;
 use lwt::metrics::registry::snapshot;
-use lwt::net::TcpListener;
+use lwt::net::{http, TcpListener};
 use lwt::{BackendKind, Glt};
 
-/// Process CPU time (user + system, every thread) in milliseconds.
-///
-/// Parses `/proc/self/stat`: fields 14/15 are utime/stime in clock
-/// ticks. `USER_HZ` is 100 on every Linux ABI this workspace targets
-/// (hermetic build: no libc crate to ask `sysconf`), so one tick is
-/// 10 ms — plenty for a threshold in the hundreds of ms.
-fn process_cpu_ms() -> u64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").expect("read /proc/self/stat");
-    // comm may contain spaces; skip past its closing paren first.
-    let after = stat.rsplit_once(')').expect("stat has a comm field").1;
-    let mut fields = after.split_ascii_whitespace();
-    // After ')' the next field is state (3rd overall), so utime/stime
-    // (14th/15th overall) are at indices 11/12 here.
-    let utime: u64 = fields.nth(11).and_then(|f| f.parse().ok()).expect("utime");
-    let stime: u64 = fields.next().and_then(|f| f.parse().ok()).expect("stime");
-    (utime + stime) * 10
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+}
+
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+fn cpu_clock_ns(clock: i32) -> u64 {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, correctly laid out timespec (x86-64 and
+    // aarch64 Linux both use two 64-bit fields) and both clock ids are
+    // always valid for the calling process/thread.
+    let rc = unsafe { clock_gettime(clock, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime({clock}) failed");
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+}
+
+/// Process CPU time (user + system, every thread, live or exited) in
+/// nanoseconds.
+fn process_cpu_ns() -> u64 {
+    cpu_clock_ns(CLOCK_PROCESS_CPUTIME_ID)
+}
+
+/// CPU time of the calling thread, in nanoseconds.
+fn thread_cpu_ns() -> u64 {
+    cpu_clock_ns(CLOCK_THREAD_CPUTIME_ID)
 }
 
 /// Reader ULTs parked on quiet connections in the idle-sockets window.
@@ -58,9 +89,9 @@ const IDLE_READERS: usize = 4;
 /// that lets the workers reach their parkers.
 fn idle_window_cpu_ms(idle_ms: u64) -> u64 {
     std::thread::sleep(Duration::from_millis(100));
-    let cpu0 = process_cpu_ms();
+    let cpu0 = process_cpu_ns();
     std::thread::sleep(Duration::from_millis(idle_ms));
-    process_cpu_ms() - cpu0
+    (process_cpu_ns() - cpu0) / 1_000_000
 }
 
 /// The idle-sockets window: block an acceptor and [`IDLE_READERS`]
@@ -109,6 +140,74 @@ fn blocked_joiners_cpu_ms(glt: &Glt, idle_ms: u64) -> u64 {
     cpu_spent
 }
 
+/// Requests per paced window, after [`PACED_WARM_UP`] unmeasured ones
+/// that let the workers settle into the paced rhythm.
+const PACED_REQUESTS: u32 = 200;
+const PACED_WARM_UP: u32 = 20;
+const PACED_PERIOD: Duration = Duration::from_millis(2);
+/// Most `adaptive` may cost per paced request, as a multiple of `passive`.
+const PACED_RATIO_MAX: f64 = 1.5;
+/// Paced windows per policy and backend; the rows report their median.
+const PACED_ROUNDS: usize = 5;
+/// The paced server's pool: two workers, as the benchmark's
+/// `echo-ult-paced` runs on a 2-vCPU host. (With four, Qthreads'
+/// `adaptive` read up to 1.6 × `passive`: stale wake tokens keep
+/// restoring its windows, DESIGN.md §12.)
+const PACED_WORKERS: usize = 2;
+const PACED_POLICIES: [WaitPolicy; 2] = [WaitPolicy::Adaptive, WaitPolicy::Passive];
+
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Server CPU per request (µs) of a keep-alive server on a fresh
+/// [`PACED_WORKERS`]-worker `kind` pool under `policy`, driven by one
+/// in-process client thread making requests [`PACED_PERIOD`] apart.
+fn paced_server_cpu_us(kind: BackendKind, policy: WaitPolicy) -> f64 {
+    use std::io::{Read as _, Write as _};
+    let glt = Glt::builder(kind)
+        .workers(PACED_WORKERS)
+        .wait_policy(policy)
+        .build();
+    let server = http::serve(
+        &glt,
+        TcpListener::bind("127.0.0.1:0").expect("bind"),
+        |_| http::Response::ok("k"),
+    )
+    .expect("serve");
+    let addr = server.addr();
+    // The client thread reports the process CPU and its own CPU over
+    // the measured requests, read on its side of each boundary.
+    let client = std::thread::spawn(move || {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let mut response = [0u8; 256];
+        let t0 = std::time::Instant::now();
+        let mut start = (0, 0);
+        for k in 0..PACED_WARM_UP + PACED_REQUESTS {
+            if k == PACED_WARM_UP {
+                start = (process_cpu_ns(), thread_cpu_ns());
+            }
+            let due = t0 + PACED_PERIOD * k;
+            std::thread::sleep(due.saturating_duration_since(std::time::Instant::now()));
+            stream.write_all(b"GET /paced HTTP/1.1\r\nHost: t\r\n\r\n").expect("request");
+            // The whole response ends in its one-byte body, "k".
+            let mut got = 0;
+            while got == 0 || response[got - 1] != b'k' {
+                let n = stream.read(&mut response[got..]).expect("response");
+                assert_ne!(n, 0, "server closed the connection");
+                got += n;
+            }
+        }
+        (process_cpu_ns() - start.0, thread_cpu_ns() - start.1)
+    });
+    let (process_ns, client_ns) = client.join().expect("paced client panicked");
+    server.shutdown();
+    glt.finalize().expect("clean drain");
+    process_ns.saturating_sub(client_ns) as f64 / 1_000.0 / f64::from(PACED_REQUESTS)
+}
+
 fn main() {
     let workers = lwt::microbench::env_usize("LWT_IDLE_WORKERS", 4);
     let idle_ms = lwt::microbench::env_usize("LWT_IDLE_MS", 800) as u64;
@@ -148,6 +247,35 @@ fn main() {
                 );
                 failed = true;
             }
+        }
+    }
+
+    println!("figure,series,policy,workers,requests,server_cpu_us_per_request");
+    for kind in BackendKind::ALL {
+        // Five alternating windows per policy, compared by median: one
+        // window's reading moves by a third with what else the host ran.
+        let mut readings = [Vec::new(), Vec::new()];
+        for round in 0..PACED_ROUNDS {
+            for i in [round % 2, 1 - round % 2] {
+                readings[i].push(paced_server_cpu_us(kind, PACED_POLICIES[i]));
+            }
+        }
+        let [adaptive, passive] = [0, 1].map(|i| {
+            let us = median(&mut readings[i]);
+            println!(
+                "idle_cpu,{}+paced,{},{PACED_WORKERS},{PACED_REQUESTS},{us:.1}",
+                kind.name(),
+                PACED_POLICIES[i].name()
+            );
+            us
+        });
+        if adaptive > PACED_RATIO_MAX * passive {
+            eprintln!(
+                "FAIL: {kind}+paced costs {adaptive:.1} us of server CPU per request under \
+                 adaptive vs {passive:.1} under passive (max {PACED_RATIO_MAX}x) — grace \
+                 windows that catch nothing are still being paid for"
+            );
+            failed = true;
         }
     }
 
