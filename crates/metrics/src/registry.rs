@@ -74,7 +74,8 @@ pub struct Counters {
     /// timeout, or shutdown unpark (lwt-sched).
     pub unparks: Counter,
     /// OS-thread yields spent inside `adaptive` grace windows, the
-    /// spin before a park (lwt-sched).
+    /// spin before a park (lwt-sched), added once per window as it
+    /// ends.
     pub grace_yields: Counter,
     /// Workers currently asleep on their parker (lwt-sched). The
     /// high-water mark records the deepest simultaneous sleep.

@@ -95,7 +95,9 @@ fn one_push_one_notify_feeds_a_fully_parked_pair() {
 /// is the passive sequence — announce, fence, re-check, hand-back,
 /// sleep — and the budget bookkeeping around the sleep must not disturb
 /// it. (The model clock reads every sleep as zero-length, which never
-/// counts as short, so the budgets stay spent.)
+/// counts as short, so the budgets stay spent.) Bounded, not
+/// exhaustive: like the passive pair above, it stops at `quick()`'s
+/// 45 s cap, about 9.5k executions on a 2-vCPU box.
 #[test]
 fn one_push_one_notify_feeds_a_fully_parked_pair_with_spent_grace() {
     let _policy = pin_policy(WaitPolicy::Adaptive);

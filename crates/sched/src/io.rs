@@ -201,14 +201,16 @@ impl IoStandby {
 mod tests {
     use super::*;
 
-    static FAKE_POLLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    std::thread_local! {
+        /// What the hook reports on this thread. The hook stays
+        /// registered for the rest of this test binary, and the
+        /// grace-window tests in `park.rs`, on their own threads, need
+        /// polls that find no readiness.
+        static DISPATCHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
-    /// Counts its calls and dispatches nothing: the hook stays
-    /// registered for the rest of this test binary, and the grace-window
-    /// tests in `park.rs` need polls that find no readiness.
     fn fake_poll() -> usize {
-        FAKE_POLLS.fetch_add(1, Ordering::Relaxed);
-        0
+        DISPATCHED.with(std::cell::Cell::get)
     }
 
     #[test]
@@ -227,8 +229,10 @@ mod tests {
         // attempt must always lose.
         assert!(!set_io_poll(fake_poll) || !first);
         assert!(io_poll_registered());
-        let before = FAKE_POLLS.load(Ordering::Relaxed);
-        assert_eq!(io_poll(), 0);
-        assert!(FAKE_POLLS.load(Ordering::Relaxed) > before, "the hook did not run");
+        // `io_poll` passes the hook's own count through.
+        DISPATCHED.with(|d| d.set(7));
+        let polled = io_poll();
+        DISPATCHED.with(|d| d.set(0));
+        assert_eq!(polled, 7);
     }
 }

@@ -379,15 +379,17 @@ impl ParkGroup {
             // common state of a serving pool. While workers poll, the
             // reactor driver steps aside (`crate::io`) and readiness
             // reaches its waiter from here, without a driver wake.
-            for _ in 0..rounds {
+            // The yields are counted once per window, on its way out.
+            for round in 1..=rounds {
                 crate::sysapi::yield_thread();
-                COUNTERS.grace_yields.inc();
                 if crate::io_poll() > 0 || pending() > 0 {
+                    COUNTERS.grace_yields.add(u64::from(round));
                     slot.grace.restore();
                     self.exit_idle(slot);
                     return ParkResult::FoundWork;
                 }
             }
+            COUNTERS.grace_yields.add(u64::from(rounds));
         }
         let asleep_at = adaptive.then(Instant::now);
         if let (Some(start), Some(end)) = (window_start, asleep_at) {

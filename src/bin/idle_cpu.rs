@@ -42,7 +42,8 @@ use std::time::Duration;
 
 use lwt::core::WaitPolicy;
 use lwt::metrics::registry::snapshot;
-use lwt::net::{http, TcpListener};
+use lwt::net::TcpListener;
+use lwt::paced::{self, PacedClient};
 use lwt::{BackendKind, Glt};
 
 #[repr(C)]
@@ -140,11 +141,6 @@ fn blocked_joiners_cpu_ms(glt: &Glt, idle_ms: u64) -> u64 {
     cpu_spent
 }
 
-/// Requests per paced window, after [`PACED_WARM_UP`] unmeasured ones
-/// that let the workers settle into the paced rhythm.
-const PACED_REQUESTS: u32 = 200;
-const PACED_WARM_UP: u32 = 20;
-const PACED_PERIOD: Duration = Duration::from_millis(2);
 /// Most `adaptive` may cost per paced request, as a multiple of `passive`.
 const PACED_RATIO_MAX: f64 = 1.5;
 /// Paced windows per policy and backend; the rows report their median.
@@ -161,51 +157,25 @@ fn median(values: &mut [f64]) -> f64 {
     values[values.len() / 2]
 }
 
-/// Server CPU per request (µs) of a keep-alive server on a fresh
-/// [`PACED_WORKERS`]-worker `kind` pool under `policy`, driven by one
-/// in-process client thread making requests [`PACED_PERIOD`] apart.
+/// Server CPU per request (µs) of one paced run (`lwt::paced`) against a
+/// fresh [`PACED_WORKERS`]-worker `kind` pool under `policy`.
 fn paced_server_cpu_us(kind: BackendKind, policy: WaitPolicy) -> f64 {
-    use std::io::{Read as _, Write as _};
     let glt = Glt::builder(kind)
         .workers(PACED_WORKERS)
         .wait_policy(policy)
         .build();
-    let server = http::serve(
-        &glt,
-        TcpListener::bind("127.0.0.1:0").expect("bind"),
-        |_| http::Response::ok("k"),
-    )
-    .expect("serve");
+    let server = paced::serve(&glt);
     let addr = server.addr();
-    // The client thread reports the process CPU and its own CPU over
-    // the measured requests, read on its side of each boundary.
+    // The client thread reads the process CPU and its own CPU on its
+    // side of each boundary of the measured requests.
     let client = std::thread::spawn(move || {
-        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut response = [0u8; 256];
-        let t0 = std::time::Instant::now();
-        let mut start = (0, 0);
-        for k in 0..PACED_WARM_UP + PACED_REQUESTS {
-            if k == PACED_WARM_UP {
-                start = (process_cpu_ns(), thread_cpu_ns());
-            }
-            let due = t0 + PACED_PERIOD * k;
-            std::thread::sleep(due.saturating_duration_since(std::time::Instant::now()));
-            stream.write_all(b"GET /paced HTTP/1.1\r\nHost: t\r\n\r\n").expect("request");
-            // The whole response ends in its one-byte body, "k".
-            let mut got = 0;
-            while got == 0 || response[got - 1] != b'k' {
-                let n = stream.read(&mut response[got..]).expect("response");
-                assert_ne!(n, 0, "server closed the connection");
-                got += n;
-            }
-        }
-        (process_cpu_ns() - start.0, thread_cpu_ns() - start.1)
+        let (start, end) = PacedClient::connect(addr).paced(|| (process_cpu_ns(), thread_cpu_ns()));
+        (end.0 - start.0, end.1 - start.1)
     });
     let (process_ns, client_ns) = client.join().expect("paced client panicked");
     server.shutdown();
     glt.finalize().expect("clean drain");
-    process_ns.saturating_sub(client_ns) as f64 / 1_000.0 / f64::from(PACED_REQUESTS)
+    process_ns.saturating_sub(client_ns) as f64 / 1_000.0 / f64::from(paced::REQUESTS)
 }
 
 fn main() {
@@ -263,9 +233,10 @@ fn main() {
         let [adaptive, passive] = [0, 1].map(|i| {
             let us = median(&mut readings[i]);
             println!(
-                "idle_cpu,{}+paced,{},{PACED_WORKERS},{PACED_REQUESTS},{us:.1}",
+                "idle_cpu,{}+paced,{},{PACED_WORKERS},{},{us:.1}",
                 kind.name(),
-                PACED_POLICIES[i].name()
+                PACED_POLICIES[i].name(),
+                paced::REQUESTS
             );
             us
         });

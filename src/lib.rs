@@ -23,6 +23,7 @@
 //! | [`core`] | `lwt-core` | the unified API ([`Glt`]) + Tables I/II |
 //! | [`net`] | `lwt-net` | epoll reactor, TCP/HTTP serving on the GLT API |
 //! | [`microbench`] | `lwt-microbench` | the paper's microbenchmarks, Figs. 1–8 |
+//! | [`paced`] | (this crate) | a paced keep-alive probe of a mostly idle server |
 //!
 //! ## Quickstart
 //!
@@ -35,6 +36,8 @@
 //! assert_eq!(sum, 140);
 //! glt.finalize().expect("clean drain");
 //! ```
+
+pub mod paced;
 
 pub use lwt_argobots as argobots;
 pub use lwt_chaos as chaos;

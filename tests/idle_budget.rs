@@ -14,17 +14,11 @@
 //! The counters are process-global, so each case runs in a re-exec'd
 //! child that executes only that test.
 
-use std::io::Write as _;
-use std::time::{Duration, Instant};
-
 use lwt::metrics::registry::CounterSnapshot;
-use lwt::net::{http, TcpListener};
+use lwt::net::http;
+use lwt::paced::{self, PacedClient};
 use lwt::{BackendKind, Glt};
 
-const REQ: &[u8] = b"GET /paced HTTP/1.1\r\nHost: t\r\n\r\n";
-const WARM_UP: u32 = 20;
-const PACED: u32 = 200;
-const PERIOD: Duration = Duration::from_millis(2);
 /// A quarter of the fixed 32-round window every paced request paid.
 const MAX_GRACE_YIELDS_PER_REQUEST: f64 = 8.0;
 
@@ -61,19 +55,14 @@ fn counters() -> CounterSnapshot {
 struct Served {
     glt: Glt,
     server: http::ServerHandle,
-    client: std::net::TcpStream,
+    client: PacedClient,
 }
 
 impl Served {
     fn start(kind: BackendKind) -> Served {
         let glt = Glt::builder(kind).workers(2).build();
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let server = http::serve(&glt, listener, |_| http::Response::ok("k")).expect("serve");
-        let client = std::net::TcpStream::connect(server.addr()).expect("connect");
-        client.set_nodelay(true).expect("nodelay");
-        client
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("read timeout");
+        let server = paced::serve(&glt);
+        let client = PacedClient::connect(server.addr());
         Served {
             glt,
             server,
@@ -81,38 +70,10 @@ impl Served {
         }
     }
 
-    /// One request and its whole response.
-    fn roundtrip(&self) {
-        (&self.client).write_all(REQ).expect("request write");
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 256];
-        loop {
-            if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                // The body is the one byte "k".
-                if buf.len() > end + 4 {
-                    assert!(buf.starts_with(b"HTTP/1.1 200 OK"), "bad response");
-                    return;
-                }
-            }
-            let n = std::io::Read::read(&mut &self.client, &mut chunk).expect("response read");
-            assert_ne!(n, 0, "server closed mid-response");
-            buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-
-    /// Requests `PERIOD` apart: `WARM_UP` to let the budgets settle,
-    /// then `PACED` measured. Returns grace yields per measured request.
-    fn paced(&self) -> f64 {
-        let t0 = Instant::now();
-        let mut before = counters();
-        for k in 0..WARM_UP + PACED {
-            if k == WARM_UP {
-                before = counters();
-            }
-            std::thread::sleep((t0 + PERIOD * k).saturating_duration_since(Instant::now()));
-            self.roundtrip();
-        }
-        counters().delta(&before).grace_yields as f64 / f64::from(PACED)
+    /// One paced run (`lwt::paced`): grace yields per measured request.
+    fn paced(&mut self) -> f64 {
+        let (before, after) = self.client.paced(counters);
+        after.delta(&before).grace_yields as f64 / f64::from(paced::REQUESTS)
     }
 
     fn finish(self) {
@@ -128,7 +89,7 @@ fn paced_requests_spend_no_grace_window_every_backend() {
         return;
     }
     for kind in BackendKind::ALL {
-        let served = Served::start(kind);
+        let mut served = Served::start(kind);
         // Up to five rounds, one of which must spend under a quarter of
         // a fixed window. A wake that lands just after a worker fell
         // asleep restores a full window by design, stale tokens
@@ -136,7 +97,9 @@ fn paced_requests_spend_no_grace_window_every_backend() {
         // still announced, the owner again), and while the host steals
         // CPU such wakes come often: quiet rounds read 0-3, rounds in
         // a noisy phase up to 11. A fixed 32-round window spends about
-        // 32 per request in every round.
+        // 32 per request in every round. Unlike the fine-grain case,
+        // this child is not pinned: on one CPU a woken worker shares
+        // it with the client, and Qthreads reads 7-20 in every round.
         let mut rounds = Vec::new();
         while rounds.len() < 5 && rounds.iter().all(|&r| r >= MAX_GRACE_YIELDS_PER_REQUEST) {
             rounds.push(served.paced());
@@ -157,7 +120,7 @@ fn closed_loop_load_after_a_paced_phase_restores_the_window_every_backend() {
     }
     const REQUESTS: u64 = 5_000;
     for kind in BackendKind::ALL {
-        let served = Served::start(kind);
+        let mut served = Served::start(kind);
         let _ = served.paced();
         // Up to five rounds, as in `tests/serving.rs`: a worker kept
         // off the CPU for a whole tick polls nothing, and the driver
@@ -168,7 +131,7 @@ fn closed_loop_load_after_a_paced_phase_restores_the_window_every_backend() {
         while rounds.len() < 5 && rounds.iter().all(|&r| r >= 0.2) {
             let before = counters();
             for _ in 0..REQUESTS {
-                served.roundtrip();
+                served.client.roundtrip();
             }
             let turns = counters().delta(&before).io_driver_turns;
             rounds.push(turns as f64 / REQUESTS as f64);
@@ -239,7 +202,10 @@ fn fine_grain_regions_never_park_on_one_cpu_every_backend() {
         master.join();
         glt.finalize().expect("clean drain");
         let per_region = spent.parks as f64 / REGIONS as f64;
-        eprintln!("idle_budget: {kind}: {per_region:.4} parks per fine region");
+        let yields = spent.grace_yields as f64 / REGIONS as f64;
+        eprintln!(
+            "idle_budget: {kind}: {per_region:.4} parks and {yields:.2} grace yields per fine region"
+        );
         assert!(
             per_region < 0.01,
             "{per_region:.4} parks per fine region on {kind}"
