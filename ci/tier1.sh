@@ -63,7 +63,7 @@ echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 CARGO_TARGET_DIR=target/lwt-model \
     RUSTFLAGS="${RUSTFLAGS:-} --cfg lwt_model" \
     timeout 600 cargo test -q --offline -p lwt-model
-echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park, incl. adaptive with a spent grace budget; the two-sleeper park cases stop at their time cap, not exhaustive + waker + unitpark + waitlist + io_standby)"
+echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park, incl. adaptive with a spent grace budget; the two-sleeper park cases stop at their time cap, not exhaustive + waker + unitpark + waitlist + driver_slot: notify race exhaustive, two sleepers and hand-on capped, both mutations caught as livelocks)"
 
 echo "== tier1: trace-export smoke (LWT_TRACE=1)"
 # One real microbench run with tracing on must produce a parseable
@@ -191,8 +191,9 @@ echo "== tier1: serving smoke (reactor echo, 100 clients x 5 backends, adaptive 
 # wedged by a blocking read — the failure mode the reactor exists to
 # prevent — would surface here as an "lwt-watchdog:" stderr report.
 # Then again under LWT_WAIT_POLICY=passive: no grace window, so a
-# worker commits to sleep on nearly every idle episode and hands the
-# reactor's poller role back to the driver each time (DESIGN.md §15).
+# worker commits to sleep on nearly every idle episode and takes the
+# reactor's driver role, or waits on its bench, each time (DESIGN.md
+# §15).
 SERVING_LOG="target/lwt-serving-smoke.log"
 for policy in adaptive passive; do
     LWT_WATCHDOG=1 LWT_WAIT_POLICY=$policy \
@@ -289,13 +290,14 @@ echo "   ok: joins suspend on every backend; AdaptiveRelax only in control-plane
 echo "== tier1: one-copy stage (worker loop, lifecycle and task posting exist once)"
 # The worker loop, the shutdown ladder and task posting live in
 # lwt_ultcore::engine and nowhere else. Each of these calls is the
-# fingerprint of one of them — the reactor poll and the watchdog
-# registration of a worker loop, the poll-join of a bounded drain — so
-# each may be *called* from exactly one file under crates/*/src; and
-# the names of the per-backend copies the engine replaced must match
-# nothing. A sixth copy fails this gate instead of a review.
+# fingerprint of one of them — the idle and busy reactor polls and the
+# watchdog registration of a worker loop, the poll-join of a bounded
+# drain — so each may be *called* from exactly one file under
+# crates/*/src; and the names of the per-backend copies the engine
+# replaced must match nothing. A sixth copy fails this gate instead of
+# a review.
 ENGINE="crates/ultcore/src/engine.rs"
-for call in 'lwt_sched::io_poll()' 'lwt_chaos::register_worker(' 'join_within('; do
+for call in 'lwt_sched::io_poll()' 'lwt_sched::io_busy_poll()' 'lwt_chaos::register_worker(' 'join_within('; do
     CALLERS=$(grep -rlF "$call" crates/*/src | sort | tr '\n' ' ')
     if [ "$CALLERS" != "$ENGINE " ]; then
         echo "FAIL: \`$call\` is called from: $CALLERS" >&2
@@ -335,7 +337,26 @@ if grep -rnE 'lwt_argobots::(in_ult|yield_now|block_on)' crates/core/src; then
     echo "FAIL: lwt-core probes a second ULT context" >&2
     exit 1
 fi
+# The reactor is a role, not a thread (DESIGN.md §15): the driver
+# thread and its step-aside protocol must not come back, and exactly
+# one place may block in epoll_wait — the role holder's turn. Every
+# epoll_wait goes through `turn_with`, and only one call passes it a
+# timeout other than 0.
+GONE=$(grep -rnE 'lwt-net-reactor|fn driver_loop|IoStandby|stand_by\(' crates/*/src || true)
+if [ -n "$GONE" ]; then
+    echo "FAIL: the reactor thread or its step-aside protocol is back:" >&2
+    printf '%s\n' "$GONE" >&2
+    exit 1
+fi
+EPOLL_CALLS=$(grep -rnF 'sys::epoll_wait(' crates/*/src | wc -l)
+BLOCKING=$(grep -rnF 'turn_with(' crates/*/src | grep -v 'fn turn_with' | grep -vF ', 0, false)' || true)
+if [ "$EPOLL_CALLS" != 1 ] || [ "$(printf '%s\n' "$BLOCKING" | grep -c .)" != 1 ]; then
+    echo "FAIL: epoll_wait must have one caller, and one blocking turn ($EPOLL_CALLS callers):" >&2
+    printf '%s\n' "$BLOCKING" >&2
+    exit 1
+fi
 echo "   ok: one worker loop, one lifecycle, one task-posting path ($ENGINE)"
+echo "   ok: no reactor thread; one blocking epoll_wait (${BLOCKING%%:*})"
 echo "   ok: one ULT record, entry and post-switch protocol ($ULTCORE)"
 
 echo "== tier1: spawn-path smoke (fig2_create vs committed baseline)"

@@ -99,7 +99,7 @@ pub enum FaultSite {
     /// flag is left up, so the retry proceeds immediately — a delay,
     /// never a livelock.
     NetSpuriousEagain = 10,
-    /// The reactor driver defers delivering an observed readiness
+    /// A reactor turn defers delivering an observed readiness
     /// event by one dispatch turn (`lwt_net::reactor`). The event is
     /// stashed, never dropped — edge-triggered readiness is not
     /// redelivered by the kernel, so a drop would be a real hang.

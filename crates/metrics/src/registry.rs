@@ -98,7 +98,7 @@ pub struct Counters {
     /// Sockets registered with the I/O reactor (lwt-net): listeners
     /// and streams each count once at registration.
     pub io_registrations: Counter,
-    /// Readiness events the reactor driver observed and dispatched
+    /// Readiness events the reactor's turns observed and dispatched
     /// (epoll edges, per direction — one event may cover both).
     pub io_events: Counter,
     /// I/O readiness deliveries that resumed a waiter: the waker a
@@ -106,8 +106,9 @@ pub struct Counters {
     /// registration fired. Deliveries with nobody waiting (the
     /// optimistic try-first path won) are not counted.
     pub io_wakes: Counter,
-    /// Blocking `epoll_wait` returns on the reactor driver thread:
-    /// driver wakes that no idle worker's poll made unnecessary (lwt-net).
+    /// Blocking `epoll_wait` returns, by whoever holds the reactor's
+    /// driver role: holder wakes that no worker's poll made unnecessary
+    /// (lwt-net).
     pub io_driver_turns: Counter,
     /// Deadlines armed on the timer wheel (`lwt_sched::timer`).
     pub timers_armed: Counter,

@@ -15,12 +15,13 @@
 //!   stackful ULT (`Glt::ult_create`) runs the same poll under
 //!   `lwt_core::block_unit_on`, which takes it off every queue until
 //!   its waker requeues it through the backend's hook (a plain OS
-//!   thread parks). A blocked unit costs its worker nothing — the
-//!   paper's `CthSuspend`/`ABT_self_suspend` promise, kept for I/O.
-//! * A process-global **edge-triggered epoll reactor** (one driver
-//!   thread + idle-worker polls through the `lwt_sched::io_poll`
-//!   hook) turns kernel readiness into those wakes. Contract:
-//!   DESIGN.md §15.
+//!   thread turns the reactor itself, or parks). A blocked unit costs
+//!   its worker nothing — the paper's `CthSuspend`/`ABT_self_suspend`
+//!   promise, kept for I/O.
+//! * A process-global **edge-triggered epoll reactor** turns kernel
+//!   readiness into those wakes. It has no thread of its own: workers
+//!   poll it, and the first to sleep blocks in it (`lwt_sched`'s
+//!   driver role). Contract: DESIGN.md §15.
 //! * [`http`] is a minimal HTTP/1.1 server — bounded parser,
 //!   keep-alive, one async task per connection — that runs unchanged
 //!   on all five backends, because it only speaks the GLT API. It

@@ -1,5 +1,6 @@
-//! The epoll reactor: one process-global driver that turns kernel
-//! readiness edges into work-unit wakes.
+//! The epoll reactor: one process-global epoll set that turns kernel
+//! readiness edges into work-unit wakes, turned by the threads that
+//! wait on it — there is no reactor thread.
 //!
 //! Full contract in DESIGN.md §15. The load-bearing pieces:
 //!
@@ -24,28 +25,31 @@
 //!   through its runtime's requeue hook (or unparks the thread). Either
 //!   way the push ends in `ParkGroup::notify`, and a blocked unit costs
 //!   its worker nothing.
-//! * **Two pollers, one epoll set.** A dedicated driver thread blocks
-//!   in `epoll_wait`, and idle workers poll the same set with a zero
-//!   timeout through the `lwt_sched::io_poll` hook (behind a try-lock)
-//!   before parking; while they poll, the driver naps one wheel tick at
-//!   a time instead (`lwt_sched::IoStandby`), so no edge pays it an
-//!   OS-thread wake. The kernel hands each edge to exactly one
-//!   concurrent waiter, so double delivery cannot happen; double
-//!   *observation* of the flag is harmless.
-//! * **Zero-syscall wakes, wheel-driven sleeps.** The driver owns the
-//!   process [`lwt_sched::TimerWheel`] (ticks = milliseconds since the
-//!   reactor epoch) and sleeps exactly until the wheel's next
-//!   deadline — indefinitely when nothing is armed. Arming an earlier
-//!   deadline signals the eventfd registered in the epoll set, so the
-//!   driver replans immediately instead of discovering the timer on a
-//!   fixed tick. Idle workers advance the wheel too, so timers keep
-//!   firing even if the driver thread is starved of CPU.
+//! * **One blocker, many pollers.** The reactor registers itself with
+//!   `lwt_sched` as an [`lwt_sched::IoDriver`]. Idle workers poll the
+//!   set with a zero timeout (behind a try-lock) before parking, and
+//!   busy ones every few dispatches; the one thread that blocks in
+//!   `epoll_wait` is the holder of `lwt_sched`'s driver role — the
+//!   first worker to commit to sleep, or a plain OS thread waiting on a
+//!   socket ([`lwt_sched::block_thread_on_io`]). The kernel hands each
+//!   edge to exactly one concurrent waiter, so double delivery cannot
+//!   happen; double *observation* of the flag is harmless.
+//! * **Zero-syscall wakes, wheel-driven sleeps.** Every turn advances
+//!   the process [`lwt_sched::TimerWheel`] (ticks = milliseconds since
+//!   the reactor epoch), and the holder sleeps exactly until the
+//!   wheel's next deadline, capped by its own backstop. Arming an
+//!   earlier deadline signals the eventfd registered in the epoll set,
+//!   so the holder replans immediately instead of discovering the timer
+//!   on a fixed tick. The eventfd is level-triggered and only the
+//!   blocking turn drains it, so a wake meant for the holder cannot be
+//!   swallowed by a zero-timeout poll.
 //! * **Chaos.** `NetDelayedReadiness` stashes an observed event for
 //!   one dispatch turn (never drops it — ET edges are not redelivered)
 //!   to widen the readiness/park race window; whichever turn comes
-//!   first flushes it — an idle poll's, or the driver's (a non-empty
-//!   stash forces its sleep to a zero timeout, and a nap is one tick).
+//!   first flushes it — a poll's, or the holder's (a non-empty stash
+//!   forces its sleep to a zero timeout).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,9 +79,9 @@ pub(crate) enum Dir {
 const READ_EVENTS: u32 = sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLERR | sys::EPOLLHUP;
 const WRITE_EVENTS: u32 = sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP;
 
-/// One registered socket: the token-addressed rendezvous between the
-/// driver (producer of readiness) and at most one waiter per
-/// direction (consumer).
+/// One registered socket: the token-addressed rendezvous between
+/// whoever turns the reactor (producer of readiness) and at most one
+/// waiter per direction (consumer).
 pub(crate) struct Registration {
     fd: RawFd,
     token: u64,
@@ -91,8 +95,8 @@ struct DirState {
     /// `WouldBlock`." Starts true: try the syscall before waiting.
     ready: AtomicBool,
     /// The parked waiter, if any: an async task's waker, a suspended
-    /// ULT's, or a parked OS thread's — the driver cannot tell and
-    /// does not care.
+    /// ULT's, or an OS thread's — the dispatch cannot tell and does
+    /// not care.
     waker: SpinLock<Option<Waker>>,
 }
 
@@ -104,7 +108,7 @@ impl DirState {
         }
     }
 
-    /// Driver side: raise the flag, then fire any parked waker. The
+    /// Dispatch side: raise the flag, then fire any parked waker. The
     /// flag store is `Release` and precedes the waker take, so a
     /// waiter woken by this call observes `ready == true`.
     fn deliver(&self, arg: u64) {
@@ -147,14 +151,14 @@ impl Registration {
     }
 
     /// Consume the readiness flag after a `WouldBlock`. Returns `true`
-    /// if the flag was up again by the time it was cleared — the
-    /// driver may have delivered an edge between the failing syscall
+    /// if the flag was up again by the time it was cleared — a turn
+    /// may have delivered an edge between the failing syscall
     /// and this clear, and that edge must not be lost, so the caller
     /// retries the syscall instead of waiting.
     pub(crate) fn clear_ready(&self, dir: Dir) -> bool {
         let st = self.dir(dir);
         st.ready.store(false, Ordering::Release);
-        // Single racing producer (the driver) — a swap isn't needed,
+        // Single racing producer (a dispatch) — a swap isn't needed,
         // but the re-read must happen after the clear.
         st.ready.load(Ordering::Acquire)
     }
@@ -163,7 +167,7 @@ impl Registration {
     /// and report `Pending` unless the direction is (or concurrently
     /// became) ready. The park/re-check order closes the lost-wake
     /// race: the waker is published *before* the final flag read, and
-    /// the driver raises the flag *before* taking the waker, so at
+    /// a dispatch raises the flag *before* taking the waker, so at
     /// least one side always sees the other. What `Pending` then means
     /// is the caller's business — an async task returns it to its
     /// executor, `lwt_core::block_unit_on` suspends the ULT or thread.
@@ -232,7 +236,7 @@ fn timeout_error() -> std::io::Error {
     )
 }
 
-/// Events fetched per `epoll_wait` call (driver and idle polls).
+/// Events fetched per `epoll_wait` call (blocking turns and polls).
 const EVENT_BATCH: usize = 256;
 
 /// A readiness observation deferred by `NetDelayedReadiness`: the
@@ -248,23 +252,23 @@ pub(crate) struct Reactor {
     wake_fd: i32,
     registrations: SpinLock<HashMap<u64, Arc<Registration>>>,
     next_token: AtomicU64,
-    /// Exclusive dispatch slot for idle-worker polls: `try_lock`
+    /// Exclusive dispatch slot for zero-timeout polls: `try_lock`
     /// semantics via `Mutex::try_lock` keep at most one worker in
     /// `epoll_wait(0)` while never blocking the idle path.
     idle_slot: Mutex<Box<[sys::EpollEvent]>>,
     delayed: SpinLock<Vec<Delayed>>,
     /// Every deadline in the process, in milliseconds-since-`epoch`
-    /// ticks. The driver advances it each turn and sleeps until its
-    /// next deadline; idle workers advance it from `io_poll`.
+    /// ticks. Every turn advances it; the holder sleeps until its next
+    /// deadline.
     wheel: TimerWheel,
     epoch: Instant,
-    /// Absolute tick the driver plans to sleep until (`u64::MAX` when
-    /// it blocks indefinitely, the nap's end while it naps). An armer
-    /// that beats this plan signals the eventfd so the driver replans.
-    /// Synchronization: the driver stores the plan *before* re-reading
-    /// the wheel, and an armer inserts *before* loading the plan; the
-    /// wheel's internal lock orders the two, so one side always sees
-    /// the other.
+    /// Absolute tick the role's holder plans to sleep until (`u64::MAX`
+    /// when it blocks indefinitely, 0 while nobody sleeps in a turn).
+    /// An armer that beats this plan signals the eventfd so the holder
+    /// replans. Synchronization: the holder stores the plan *before*
+    /// re-reading the wheel, and an armer inserts *before* loading the
+    /// plan; the wheel's internal lock orders the two, so one side
+    /// always sees the other.
     planned_wake: AtomicU64,
 }
 
@@ -273,24 +277,27 @@ const WAKE_TOKEN: u64 = 0;
 
 static REACTOR: OnceLock<&'static Reactor> = OnceLock::new();
 
-/// The process-global reactor, starting its driver thread (and
-/// registering the `lwt_sched::io_poll` idle hook) on first use.
+std::thread_local! {
+    /// This thread is dispatching a blocking turn: a wake it causes
+    /// (its own notify, its own waker) needs no eventfd write, since
+    /// the turn is over and its holder re-checks before the next one.
+    static IN_TURN: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The process-global reactor, created and registered with
+/// `lwt_sched` (`set_io_poll`) on first use.
 ///
 /// # Panics
-/// If the kernel refuses an epoll instance or the driver thread cannot
-/// be spawned — both unrecoverable configuration errors.
+/// If the kernel refuses an epoll instance or an eventfd — both
+/// unrecoverable configuration errors.
 pub(crate) fn reactor() -> &'static Reactor {
     REACTOR.get_or_init(|| {
         let epfd = sys::epoll_create1().expect("lwt-net: epoll_create1");
         let wake_fd = sys::eventfd().expect("lwt-net: eventfd");
-        sys::epoll_ctl(
-            epfd,
-            sys::EPOLL_CTL_ADD,
-            wake_fd,
-            sys::EPOLLIN | sys::EPOLLET,
-            WAKE_TOKEN,
-        )
-        .expect("lwt-net: register wake eventfd");
+        // Level-triggered: it stays readable until a blocking turn
+        // drains it, whichever zero-timeout polls see it first.
+        sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, wake_fd, sys::EPOLLIN, WAKE_TOKEN)
+            .expect("lwt-net: register wake eventfd");
         let r: &'static Reactor = Box::leak(Box::new(Reactor {
             epfd,
             wake_fd,
@@ -302,53 +309,49 @@ pub(crate) fn reactor() -> &'static Reactor {
             epoch: Instant::now(),
             planned_wake: AtomicU64::new(0),
         }));
-        COUNTERS.os_threads_spawned.inc();
-        std::thread::Builder::new()
-            .name("lwt-net-reactor".into())
-            .spawn(move || driver_loop(r))
-            .expect("lwt-net: spawn reactor driver");
-        let registered = lwt_sched::set_io_poll(idle_poll);
+        let registered = lwt_sched::set_io_poll(r);
         debug_assert!(registered, "reactor initialized twice");
         r
     })
 }
 
-fn driver_loop(r: &'static Reactor) {
-    let mut buf = vec![sys::EpollEvent::ZERO; EVENT_BATCH];
-    let mut look = lwt_sched::IoLook::default();
-    loop {
-        let now = r.now_ms();
-        r.wheel.advance(now);
-        // While workers poll, nap one wheel tick (1 ms), then take what
-        // arrived (if all were busy, nobody did). The nap's end is the
-        // plan, so an arm it covers does not signal the eventfd.
-        r.planned_wake.store(now + 1, Ordering::SeqCst);
-        let timeout = if lwt_sched::IO_STANDBY.stand_by(&mut look, Duration::from_millis(1)) {
-            0
-        } else {
-            COUNTERS.io_driver_turns.inc();
-            r.plan_sleep()
-        };
-        r.turn_with(&mut buf, timeout);
+impl lwt_sched::IoDriver for Reactor {
+    /// One zero-timeout turn, skipped entirely when another thread is
+    /// already in one (it will deliver). Also advances the timer
+    /// wheel, so deadlines keep firing while every worker is busy.
+    fn poll(&self) -> usize {
+        let fired = self.wheel.advance(self.now_ms());
+        fired
+            + match self.idle_slot.try_lock() {
+                Ok(mut buf) => self.turn_with(&mut buf, 0, false),
+                Err(_) => 0,
+            }
     }
-}
 
-/// The `lwt_sched::io_poll` hook: one zero-timeout turn, skipped
-/// entirely when another thread is already in one (the driver or a
-/// sibling idle worker will deliver). Also advances the timer wheel,
-/// so deadlines keep firing when the driver thread is starved of CPU
-/// (single-core boxes under full load).
-fn idle_poll() -> usize {
-    let r = match REACTOR.get() {
-        Some(r) => r,
-        None => return 0,
-    };
-    let fired = r.wheel.advance(r.now_ms());
-    fired
-        + match r.idle_slot.try_lock() {
-            Ok(mut buf) => r.turn_with(&mut buf, 0),
-            Err(_) => 0,
+    /// The role holder's turn: fire what is due, else sleep in
+    /// `epoll_wait` until the wheel's next deadline (capped), an edge
+    /// or an eventfd wake, then dispatch and fire again.
+    fn turn(&self, cap: Option<Duration>) -> usize {
+        let fired = self.wheel.advance(self.now_ms());
+        if fired > 0 {
+            return fired;
         }
+        let timeout = self.plan_sleep(cap);
+        COUNTERS.io_driver_turns.inc();
+        let mut buf = [sys::EpollEvent::ZERO; EVENT_BATCH];
+        IN_TURN.with(|t| t.set(true));
+        let delivered = self.turn_with(&mut buf, timeout, true);
+        self.planned_wake.store(0, Ordering::SeqCst);
+        let fired = self.wheel.advance(self.now_ms());
+        IN_TURN.with(|t| t.set(false));
+        delivered + fired
+    }
+
+    fn wake(&self) {
+        if !IN_TURN.with(Cell::get) {
+            self.wake_holder();
+        }
+    }
 }
 
 impl Reactor {
@@ -387,9 +390,9 @@ impl Reactor {
         reg.close_wake();
     }
 
-    /// Nudge the driver out of its current `epoll_wait`: timer arms
-    /// that beat the planned wake, shutdown paths, tests.
-    pub(crate) fn wake_driver(&self) {
+    /// End the holder's current (or next) blocking turn: timer arms
+    /// that beat the planned wake, notifies and wakers aimed at it.
+    fn wake_holder(&self) {
         let _ = sys::eventfd_signal(self.wake_fd);
     }
 
@@ -399,36 +402,42 @@ impl Reactor {
     }
 
     /// Arm a deadline `delay_ms` from now on the process wheel. If it
-    /// is earlier than the driver's planned wake, the eventfd is
-    /// signalled so the driver replans immediately — the zero-syscall
+    /// is earlier than the holder's planned wake, the eventfd is
+    /// signalled so the holder replans immediately — the zero-syscall
     /// wake path (one `write` on the armer, no timer fd, no tick).
     pub(crate) fn arm_timer_ms(&self, delay_ms: u64) -> Arc<TimerEntry> {
         let deadline = self.now_ms().saturating_add(delay_ms.max(1));
         let entry = self.wheel.arm(deadline);
         // The insert above happened under the wheel lock; this load is
-        // therefore ordered after the driver's latest plan store (see
+        // therefore ordered after the holder's latest plan store (see
         // `planned_wake` field docs), so a stale-late plan read is
-        // impossible: either the driver saw our entry, or we see its
+        // impossible: either the holder saw our entry, or we see its
         // plan and signal.
         if entry.deadline() < self.planned_wake.load(Ordering::SeqCst) {
-            self.wake_driver();
+            self.wake_holder();
         }
         entry
     }
 
-    /// Decide how long the driver may sleep: publish the plan, then
-    /// re-read the wheel so an arm racing the publish is never slept
-    /// past. Returns an `epoll_wait` timeout in ms (`-1` = forever).
-    fn plan_sleep(&self) -> i32 {
+    /// Decide how long the holder may sleep, at most `cap`: publish the
+    /// plan, then re-read the wheel so an arm racing the publish is
+    /// never slept past. Returns an `epoll_wait` timeout in ms (`-1` =
+    /// forever).
+    fn plan_sleep(&self, cap: Option<Duration>) -> i32 {
         if !self.delayed.lock().is_empty() {
             // A chaos-stashed event must flush next turn: don't sleep.
             self.planned_wake.store(0, Ordering::SeqCst);
             return 0;
         }
-        let mut plan = self.wheel.next_deadline().unwrap_or(u64::MAX);
+        let cap = cap.map_or(u64::MAX, |cap| {
+            let ms = u64::try_from(cap.as_millis()).unwrap_or(u64::MAX);
+            self.now_ms().saturating_add(ms)
+        });
+        let next = || self.wheel.next_deadline().unwrap_or(u64::MAX).min(cap);
+        let mut plan = next();
         loop {
             self.planned_wake.store(plan, Ordering::SeqCst);
-            let fresh = self.wheel.next_deadline().unwrap_or(u64::MAX);
+            let fresh = next();
             if fresh >= plan {
                 break;
             }
@@ -443,8 +452,9 @@ impl Reactor {
 
     /// One dispatch turn: flush chaos-delayed observations, fetch one
     /// batch of kernel events, dispatch readiness. Returns the number
-    /// of direction-deliveries made.
-    fn turn_with(&self, buf: &mut [sys::EpollEvent], timeout_ms: i32) -> usize {
+    /// of direction-deliveries made. Only the `holding` turn drains the
+    /// wake eventfd; the others pass over it.
+    fn turn_with(&self, buf: &mut [sys::EpollEvent], timeout_ms: i32, holding: bool) -> usize {
         let mut delivered = 0;
 
         // Deferred observations first: exactly one turn of delay.
@@ -460,7 +470,9 @@ impl Reactor {
         for ev in &buf[..n] {
             let (events, token) = ({ ev.events }, { ev.data });
             if token == WAKE_TOKEN {
-                sys::eventfd_drain(self.wake_fd);
+                if holding {
+                    sys::eventfd_drain(self.wake_fd);
+                }
                 continue;
             }
             let read = events & READ_EVENTS != 0;
@@ -505,9 +517,9 @@ pub fn live_registrations() -> usize {
     REACTOR.get().map_or(0, |r| r.registrations.lock().len())
 }
 
-/// Block the *calling OS thread* until the reactor has started (used
-/// by tests that assert on driver behavior). Touching any socket type
-/// starts it implicitly; this is just an explicit spelling.
+/// Create the process reactor and register it with `lwt_sched`, if
+/// that has not happened yet. Returns at once and starts no thread;
+/// touching any socket type does the same implicitly.
 pub fn ensure_started() {
     let _ = reactor();
 }

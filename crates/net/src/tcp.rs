@@ -5,9 +5,12 @@
 //! lives in nonblocking mode from birth, every operation is tried
 //! optimistically, and a `WouldBlock` parks the caller's waker on the
 //! reactor and suspends the caller — an async task returns `Pending`,
-//! a stackful ULT is taken off every queue, a plain thread parks. It
-//! is one code path ([`poll_op`]); the plain methods are that poll
-//! driven by `lwt_core::block_unit_on`. The same `TcpStream` therefore
+//! a stackful ULT is taken off every queue, a plain thread turns the
+//! reactor itself if nobody else does, else parks. It is one code path
+//! ([`poll_op`]); the plain methods are that poll driven by
+//! `lwt_core::block_unit_on` in a ULT and by
+//! `lwt_sched::block_thread_on_io` on a plain thread. The same
+//! `TcpStream` therefore
 //! serves both spawn paths of the GLT API: `Glt::ult_create` closures
 //! call the plain methods, `Glt::spawn_async` futures call the
 //! `*_async` methods.
@@ -92,10 +95,14 @@ fn chaos_cut(len: usize) -> usize {
 }
 
 /// Synchronous flavor of [`poll_op`] for ULTs and plain threads: the
-/// same poll, driven by `lwt_core::block_unit_on`, which suspends the
-/// calling unit (not its worker) on every `Pending` until the waker
-/// parked by the poll fires — readiness, deadline or close alike. A
-/// wait that actually suspends registers with the stall watchdog.
+/// same poll, driven by `lwt_core::block_unit_on` in a ULT, which
+/// suspends the calling unit (not its worker) on every `Pending` until
+/// the waker parked by the poll fires — readiness, deadline or close
+/// alike. A plain thread runs it under `lwt_sched::block_thread_on_io`
+/// instead, which holds the reactor's driver role while it waits if
+/// the role is free: in a process with no runtime it is the only
+/// driver. A wait that actually suspends registers with the stall
+/// watchdog.
 fn sync_op<T>(
     reg: &Registration,
     dir: Dir,
@@ -104,13 +111,18 @@ fn sync_op<T>(
 ) -> io::Result<T> {
     let mut timer = TimerGuard::new(timeout_ms);
     let mut watch = None;
-    lwt_core::block_unit_on(|cx| {
+    let poll = |cx: &mut Context<'_>| {
         let polled = poll_op(reg, dir, cx, &mut timer, &mut op);
         if polled.is_pending() && watch.is_none() {
             watch = block_enter(BlockKind::Io, reg.wait_arg(dir));
         }
         polled
-    })
+    };
+    if lwt_ultcore::in_ult() {
+        lwt_core::block_unit_on(poll)
+    } else {
+        lwt_sched::block_thread_on_io(poll)
+    }
 }
 
 /// The retry loop behind every socket operation: try `op`, consume the
@@ -203,8 +215,8 @@ pub struct TcpListener {
 
 impl TcpListener {
     /// Bind to `addr` (standard `ToSocketAddrs` forms; port 0 picks a
-    /// free port) and register with the reactor. Starts the reactor
-    /// driver on first use anywhere in the process.
+    /// free port) and register with the reactor. Creates the reactor
+    /// on first use anywhere in the process.
     ///
     /// ```
     /// let listener = lwt_net::TcpListener::bind("127.0.0.1:0").unwrap();

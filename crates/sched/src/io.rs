@@ -1,77 +1,236 @@
-//! The reactor seam: the idle-poll hook between the backends' idle
-//! paths and the I/O reactor, with the dependency arrow pointing the
-//! right way, and the hand-off deciding who harvests readiness.
+//! The reactor seam and the driver role: how the backends' idle paths
+//! reach the I/O reactor with the dependency arrow pointing the right
+//! way, and which thread blocks in it.
 //!
 //! `lwt-net` (the epoll reactor) sits *above* the backend crates in
 //! the dependency graph — it spawns work through the GLT API — so the
 //! backends cannot call into it directly. Instead the reactor
-//! registers a bare `fn() -> usize` here at initialization, and every
-//! backend's worker loop calls [`io_poll`] when its steal sweep comes
-//! up dry, right before parking on the [`ParkGroup`]. The hook gives
-//! an otherwise-idle worker a chance to collect readiness events (and
-//! thereby requeue woken tasks through the backend's own `post_task`
-//! path) without waiting for the reactor driver thread to be
-//! scheduled — which matters on saturated or single-core machines.
+//! registers itself here at initialization as an [`IoDriver`]: a
+//! zero-timeout poll, a blocking turn and a wake. Every backend's
+//! worker loop calls [`io_poll`] when its steal sweep comes up dry, and
+//! [`io_busy_poll`] every few dispatches while it is busy, so readiness
+//! reaches its waiters (requeued through the backend's own `post_task`
+//! path) without anyone having to be woken for it.
 //!
-//! **Who harvests ([`IoStandby`]).** The kernel wakes a driver blocked
-//! in `epoll_wait` for every edge, so while workers poll, the driver
-//! naps one wheel tick at a time instead; a worker committing to sleep
-//! in [`ParkGroup::park`] hands the role back ([`io_hand_back`]).
+//! **The driver role.** There is no reactor thread. The one thread
+//! allowed to block in the reactor's turn is the *holder* of the
+//! process's [`DriverRole`]: a worker that commits to sleep in
+//! [`ParkGroup::park`] takes the role if it is free and sleeps in the
+//! turn instead of on its parker; every other sleeper waits on the
+//! role's *bench*. A plain OS thread waiting on a socket takes it too
+//! ([`block_thread_on_io`]), so a process with no runtime still has its
+//! driver. Whoever leaves the idle path to run work while the role is
+//! vacant wakes one benched sleeper, which takes the role over — the
+//! hand-on (DESIGN.md §15). `crates/model/tests/driver_slot.rs` checks
+//! the role against the real `ParkGroup`.
 //!
-//! When no reactor has started, [`io_poll`] and [`io_hand_back`] are
-//! one relaxed load and a predictable branch each: runtimes that never
-//! touch the network pay nothing for this seam.
+//! Without a reactor nothing is registered, and [`io_poll`] and
+//! `ParkGroup::park`'s check are one load and a predictable branch
+//! each: runtimes that never touch the network pay nothing for this
+//! seam.
 //!
-//! Ordering contract (DESIGN.md §15): the hook itself carries no
+//! Ordering contract (DESIGN.md §15): a poll carries no
 //! synchronization promises. A non-zero return means "readiness was
 //! dispatched; ready queues may have grown through `post_task`", and
 //! the caller must re-run its sweep before parking — the same re-check
 //! discipline [`ParkGroup::park`]'s `pending` closure enforces for
-//! queue pushes. `crates/model/tests/io_standby.rs` checks the hand-off.
+//! queue pushes.
 //!
-//! [`ParkGroup`]: crate::ParkGroup
 //! [`ParkGroup::park`]: crate::ParkGroup::park
 
 use std::sync::atomic::Ordering;
+use std::sync::OnceLock;
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Duration;
 
-use lwt_sync::Parker;
+use lwt_sync::{Parker, SpinLock};
 
-use crate::sysapi::{fence, AtomicBool, AtomicUsize};
+use crate::sysapi::AtomicBool;
 
-/// The registered poll hook, stored as a thin `fn` pointer (0 = none).
-/// A `fn() -> usize` is ABI-compatible with a pointer-sized word on
-/// every platform the workspace targets. A `std` atomic: it gates the
-/// seam and takes no part in the hand-off.
-static IO_POLL: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+/// The reactor, as the idle paths see it: the three hooks `lwt-net`
+/// registers through [`set_io_poll`].
+pub trait IoDriver: Sync {
+    /// One zero-timeout turn: advance the timer wheel and dispatch
+    /// whatever is ready, skipped when another thread is already in
+    /// one. Returns the number of deliveries (timers fired included).
+    fn poll(&self) -> usize;
 
-/// The process's hand-off, for the reactor driver (a process singleton).
-pub static IO_STANDBY: IoStandby = IoStandby::new();
+    /// One blocking turn, for the role holder only: sleep until
+    /// readiness, the wheel's next deadline, a [`IoDriver::wake`] or
+    /// `cap` (`None`: no cap), then dispatch. Returns the number of
+    /// deliveries; 0 means the turn ended empty-handed.
+    fn turn(&self, cap: Option<Duration>) -> usize;
 
-/// Register the process-wide I/O poll hook. The hook must be
-/// non-blocking (an `epoll_wait` with a zero timeout, or a try-lock
-/// that bails when another thread is already polling) and must return
-/// the number of readiness events it dispatched.
-///
-/// First registration wins and returns `true`; later calls are
-/// ignored and return `false` (the reactor is a process singleton, so
-/// a second registration is a bug on the caller's side, but ignoring
-/// it keeps racing initializers safe).
-pub fn set_io_poll(hook: fn() -> usize) -> bool {
-    IO_POLL
-        .compare_exchange(0, hook as usize, Ordering::Release, Ordering::Relaxed)
-        .is_ok()
+    /// End the holder's current (or next) turn early.
+    fn wake(&self);
 }
 
-/// Whether a reactor has registered an idle-poll hook.
-#[must_use]
-pub fn io_poll_registered() -> bool {
-    IO_POLL.load(Ordering::Relaxed) != 0
+/// A sleeper waiting on the bench, not holding the role.
+pub(crate) enum Benched {
+    /// A worker asleep in `ParkGroup::park`: its slot's parker. Valid
+    /// while listed — the worker unlists itself, under the bench lock,
+    /// before it leaves `park`, and the hand-on wakes under that lock.
+    Worker(*const Parker),
+    /// A plain OS thread in [`block_thread_on_io`]: its thread waker.
+    Thread(Waker),
+}
+
+// SAFETY: the parker pointer is only dereferenced under the bench lock
+// while its worker is still inside `park` (see `Benched::Worker`), and
+// `Parker` is `Sync`.
+unsafe impl Send for Benched {}
+
+impl Benched {
+    fn is(&self, other: &Benched) -> bool {
+        match (self, other) {
+            (Benched::Worker(a), Benched::Worker(b)) => std::ptr::eq(*a, *b),
+            (Benched::Thread(a), Benched::Thread(b)) => a.will_wake(b),
+            _ => false,
+        }
+    }
+
+    fn wake(&self) {
+        match self {
+            // SAFETY: see `Benched::Worker`; the caller holds the lock.
+            Benched::Worker(parker) => unsafe { (**parker).unpark() },
+            Benched::Thread(waker) => waker.wake_by_ref(),
+        }
+    }
+}
+
+/// A seeded defect, for the model suite's mutation checks.
+#[cfg(lwt_model)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutant {
+    /// A notify deposits its token but never ends a holder's turn.
+    NotifySkipsWake,
+    /// Leaving the idle path with work never wakes a benched sleeper.
+    NoHandOn,
+}
+
+/// Who may block in the reactor's turn (module docs). One per process
+/// ([`set_io_poll`] registers the reactor with it); the model suite
+/// builds its own.
+pub struct DriverRole {
+    io: OnceLock<&'static dyn IoDriver>,
+    /// A thread holds the role. Written under the bench lock; read
+    /// without it only as the busy poll's hint.
+    held: AtomicBool,
+    /// Sleepers without the role.
+    bench: SpinLock<Vec<Benched>>,
+    #[cfg(lwt_model)]
+    pub(crate) mutant: Option<Mutant>,
+}
+
+impl Default for DriverRole {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl DriverRole {
+    /// A vacant role with no reactor registered.
+    #[must_use]
+    pub const fn new() -> Self {
+        DriverRole {
+            io: OnceLock::new(),
+            held: AtomicBool::new(false),
+            bench: SpinLock::new(Vec::new()),
+            #[cfg(lwt_model)]
+            mutant: None,
+        }
+    }
+
+    /// A role carrying a seeded defect (model suite only).
+    #[cfg(lwt_model)]
+    #[must_use]
+    pub const fn mutated(mutant: Mutant) -> Self {
+        let mut role = Self::new();
+        role.mutant = Some(mutant);
+        role
+    }
+
+    /// Register the reactor. First registration wins and returns
+    /// `true`; later calls are ignored and return `false`.
+    pub fn set_io(&self, io: &'static dyn IoDriver) -> bool {
+        self.io.set(io).is_ok()
+    }
+
+    #[inline]
+    pub(crate) fn io(&self) -> Option<&'static dyn IoDriver> {
+        self.io.get().copied()
+    }
+
+    #[inline]
+    pub(crate) fn poll(&self) -> usize {
+        self.io().map_or(0, |io| io.poll())
+    }
+
+    /// Take the role if it is free (`true`), else put `me` on the bench.
+    pub(crate) fn take_or_bench(&self, me: Benched) -> bool {
+        let mut bench = self.bench.lock();
+        if self.held.load(Ordering::SeqCst) {
+            bench.push(me);
+            false
+        } else {
+            self.held.store(true, Ordering::SeqCst);
+            true
+        }
+    }
+
+    /// Leave the bench, if a hand-on has not already taken `me` off it.
+    pub(crate) fn unbench(&self, me: &Benched) {
+        self.bench.lock().retain(|b| !b.is(me));
+    }
+
+    /// Give the role up. The caller hands on if it leaves to run work.
+    pub(crate) fn release(&self) {
+        let _bench = self.bench.lock();
+        self.held.store(false, Ordering::SeqCst);
+    }
+
+    /// The caller leaves the idle path to run work: if nobody holds the
+    /// role, wake one benched sleeper to take it over.
+    pub(crate) fn hand_on(&self) {
+        #[cfg(lwt_model)]
+        if self.mutant == Some(Mutant::NoHandOn) {
+            return;
+        }
+        let mut bench = self.bench.lock();
+        if !self.held.load(Ordering::SeqCst) {
+            if let Some(next) = bench.pop() {
+                next.wake();
+            }
+        }
+    }
+
+    fn wake_holder(&self) {
+        if let Some(io) = self.io() {
+            io.wake();
+        }
+    }
+}
+
+/// The process's role, for the reactor `lwt-net` registers.
+static DRIVER: DriverRole = DriverRole::new();
+
+/// The process role, for `ParkGroup`.
+pub(crate) fn driver() -> &'static DriverRole {
+    &DRIVER
+}
+
+/// Register the process-wide reactor: its zero-timeout poll, blocking
+/// turn and wake ([`IoDriver`]). First registration wins and returns
+/// `true`; later calls are ignored and return `false` (the reactor is
+/// a process singleton, so a second registration is a bug on the
+/// caller's side, but ignoring it keeps racing initializers safe).
+pub fn set_io_poll(io: &'static dyn IoDriver) -> bool {
+    DRIVER.set_io(io)
 }
 
 /// Poll the reactor for readiness, if one is running. Returns the
-/// number of events dispatched (0 when no reactor is registered, when
-/// another thread holds the poll slot, or when nothing was ready).
+/// number of deliveries (0 when no reactor is registered, when another
+/// thread holds the poll slot, or when nothing was ready).
 ///
 /// Backends call this on the idle path: a non-zero return means wakes
 /// were delivered — some may have landed in this worker's own queues —
@@ -79,160 +238,134 @@ pub fn io_poll_registered() -> bool {
 #[inline]
 #[must_use]
 pub fn io_poll() -> usize {
-    let raw = IO_POLL.load(Ordering::Acquire);
-    if raw == 0 {
+    DRIVER.poll()
+}
+
+/// A busy worker's poll: [`io_poll`] unless a thread holds the driver
+/// role, in which case readiness already has someone waiting for it.
+#[inline]
+#[must_use]
+pub fn io_busy_poll() -> usize {
+    if DRIVER.held.load(Ordering::Relaxed) {
         return 0;
     }
-    IO_STANDBY.note_poll();
-    // Safety: the only non-zero value ever stored is a valid
-    // `fn() -> usize`, written with Release by `set_io_poll` and read
-    // here with Acquire.
-    let hook: fn() -> usize = unsafe { std::mem::transmute(raw) };
-    hook()
+    io_poll()
 }
 
-/// A worker is about to sleep on its parker: hand the poller role back
-/// to the reactor driver ([`IoStandby::hand_back`]); a no-op without a
-/// reactor.
-#[inline]
-pub fn io_hand_back() {
-    if IO_POLL.load(Ordering::Relaxed) != 0 {
-        IO_STANDBY.hand_back();
+/// The waker a plain-thread holder parks on its own registrations: a
+/// delivery to it, by another poller or a close, must end the turn the
+/// thread is blocked in rather than unpark a thread that is not parked.
+fn holder_waker() -> Waker {
+    static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake, drop);
+    fn clone(_: *const ()) -> RawWaker {
+        RawWaker::new(std::ptr::null(), &VTABLE)
+    }
+    fn wake(_: *const ()) {
+        DRIVER.wake_holder();
+    }
+    fn drop(_: *const ()) {}
+    // SAFETY: no function of the vtable touches the (null) data
+    // pointer; clone returns an equivalent waker and drop frees nothing.
+    unsafe { Waker::from_raw(RawWaker::new(std::ptr::null(), &VTABLE)) }
+}
+
+/// Gives the role up and hands on, however the holder's wait ends.
+struct Holding;
+
+impl Drop for Holding {
+    fn drop(&mut self) {
+        DRIVER.release();
+        DRIVER.hand_on();
     }
 }
 
-/// The poll and sleep counts the driver saw at its last look.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IoLook {
-    polls: usize,
-    sleeps: usize,
-}
-
-/// The driver/worker hand-off (module docs). Store-buffering, like
-/// [`crate::ParkGroup`]: the worker counts its sleep, fences, reads
-/// `aside`; the driver stores `aside`, fences, re-reads the sleep count.
-/// One side sees the other: the driver never naps, or gets unparked.
-#[derive(Debug, Default)]
-pub struct IoStandby {
-    /// Zero-timeout polls by workers. Relaxed: a hint that publishes
-    /// nothing; a stale read only delays a step-aside by one turn.
-    polls: AtomicUsize,
-    /// Workers that committed to sleep.
-    sleeps: AtomicUsize,
-    /// The driver is napping instead of blocking in `epoll_wait`.
-    aside: AtomicBool,
-    /// The driver's nap; a hand-back deposits its token.
-    driver: Parker,
-}
-
-impl IoStandby {
-    /// No polls, no sleeps, the driver in charge.
-    #[must_use]
-    pub const fn new() -> Self {
-        IoStandby {
-            polls: AtomicUsize::new(0),
-            sleeps: AtomicUsize::new(0),
-            aside: AtomicBool::new(false),
-            driver: Parker::new(),
+/// [`lwt_sync::block_thread_on`] for a plain OS thread waiting on the
+/// reactor: while the wait is pending the thread holds the driver role
+/// if it is free, and blocks in the reactor's turn; otherwise it waits
+/// on the bench. It leaves with its result, so it hands on.
+pub fn block_thread_on_io<T>(mut poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
+    let Some(io) = DRIVER.io() else {
+        return lwt_sync::block_thread_on(poll);
+    };
+    let mut benched = false;
+    lwt_sync::block_thread_on(|cx| {
+        if std::mem::take(&mut benched) {
+            DRIVER.unbench(&Benched::Thread(cx.waker().clone()));
         }
-    }
-
-    /// Worker side of [`io_poll`]: count one zero-timeout poll.
-    pub fn note_poll(&self) {
-        self.polls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Worker side of [`io_hand_back`]: count the sleep, fence, and
-    /// unpark the driver if it is aside.
-    pub fn hand_back(&self) {
-        self.sleeps.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        if self.aside.load(Ordering::SeqCst) {
-            self.driver.unpark();
+        if let ready @ Poll::Ready(_) = poll(cx) {
+            return ready;
         }
-    }
-
-    /// Driver side, at the top of each turn: if a worker polled since
-    /// `look` and none committed to sleep since then, step aside — nap
-    /// until a hand-back or `tick` — and return `true` (take a zero-
-    /// timeout turn, look again); else `false` (block in `epoll_wait`).
-    /// A stale token only shortens a nap. The model build naps without
-    /// a timeout: a lost hand-back is a livelock.
-    pub fn stand_by(&self, look: &mut IoLook, tick: Duration) -> bool {
-        self.stand_by_with(look, tick, true)
-    }
-
-    /// `stand_by` without the re-read after the fence: the model
-    /// suite's mutation check.
-    #[cfg(lwt_model)]
-    pub fn stand_by_seeded_missing_reread(&self, look: &mut IoLook, tick: Duration) -> bool {
-        self.stand_by_with(look, tick, false)
-    }
-
-    fn stand_by_with(&self, look: &mut IoLook, tick: Duration, reread: bool) -> bool {
-        let seen = IoLook {
-            polls: self.polls.load(Ordering::Relaxed),
-            sleeps: self.sleeps.load(Ordering::SeqCst),
-        };
-        let step = seen.polls != look.polls && seen.sleeps == look.sleeps;
-        *look = seen;
-        if !step {
-            return false;
+        if !DRIVER.take_or_bench(Benched::Thread(cx.waker().clone())) {
+            benched = true;
+            return Poll::Pending;
         }
-        self.aside.store(true, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        // A sleep since the look may have missed `aside`: skip the nap,
-        // and the next look sees that sleep and blocks.
-        if !reread || self.sleeps.load(Ordering::SeqCst) == seen.sleeps {
-            #[cfg(not(lwt_model))]
-            let _ = self.driver.park_timeout(tick);
-            #[cfg(lwt_model)]
-            {
-                let _ = tick;
-                self.driver.park();
+        let _holding = Holding;
+        let waker = holder_waker();
+        let mut held = Context::from_waker(&waker);
+        loop {
+            if let ready @ Poll::Ready(_) = poll(&mut held) {
+                return ready;
             }
+            io.turn(None);
         }
-        self.aside.store(false, Ordering::SeqCst);
-        true
-    }
+    })
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(lwt_model)))]
 mod tests {
     use super::*;
 
     std::thread_local! {
-        /// What the hook reports on this thread. The hook stays
+        /// What the poll reports on this thread. The reactor stays
         /// registered for the rest of this test binary, and the
         /// grace-window tests in `park.rs`, on their own threads, need
         /// polls that find no readiness.
         static DISPATCHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
-    fn fake_poll() -> usize {
-        DISPATCHED.with(std::cell::Cell::get)
-    }
+    /// A reactor with nothing registered: its turn sleeps out the cap
+    /// unless woken, and delivers nothing.
+    struct FakeIo(Parker);
 
-    #[test]
-    fn unregistered_hook_is_a_noop() {
-        // May race with `first_registration_wins` in the same process;
-        // only assert the no-crash property plus a consistent pair.
-        if !io_poll_registered() {
-            assert_eq!(io_poll(), 0);
+    impl IoDriver for FakeIo {
+        fn poll(&self) -> usize {
+            DISPATCHED.with(std::cell::Cell::get)
+        }
+
+        fn turn(&self, cap: Option<Duration>) -> usize {
+            let _ = self.0.park_timeout(cap.unwrap_or(Duration::from_secs(1)));
+            0
+        }
+
+        fn wake(&self) {
+            self.0.unpark();
         }
     }
 
+    static FAKE: FakeIo = FakeIo(Parker::new());
+
     #[test]
     fn first_registration_wins() {
-        let first = set_io_poll(fake_poll);
+        let first = set_io_poll(&FAKE);
         // Either we registered it or someone else did; a second
         // attempt must always lose.
-        assert!(!set_io_poll(fake_poll) || !first);
-        assert!(io_poll_registered());
-        // `io_poll` passes the hook's own count through.
+        assert!(!set_io_poll(&FAKE) || !first);
+        // `io_poll` passes the reactor's own count through.
         DISPATCHED.with(|d| d.set(7));
         let polled = io_poll();
         DISPATCHED.with(|d| d.set(0));
         assert_eq!(polled, 7);
+    }
+
+    #[test]
+    fn an_unregistered_role_polls_nothing_and_is_never_held() {
+        let role = DriverRole::new();
+        assert_eq!(role.poll(), 0);
+        assert!(role.take_or_bench(Benched::Thread(holder_waker())));
+        assert!(!role.take_or_bench(Benched::Thread(holder_waker())), "held twice");
+        role.unbench(&Benched::Thread(holder_waker()));
+        assert!(role.bench.lock().is_empty());
+        role.release();
+        assert!(!role.held.load(Ordering::SeqCst));
     }
 }

@@ -37,15 +37,16 @@
 //!   `ABT_self_suspend`/`ABT_thread_resume`), inside every backend's
 //!   `lwt_ultcore::UltCore` (model-checked in
 //!   `crates/model/tests/unitpark.rs`).
-//! * [`io_poll`] / [`set_io_poll`] — the reactor idle-poll seam: the
-//!   I/O reactor (`lwt-net`) registers a non-blocking poll hook that
-//!   every backend calls when a steal sweep comes up dry, so readiness
-//!   events are collected before a worker parks; [`IoStandby`] lets
-//!   the reactor driver step aside while workers poll.
+//! * [`set_io_poll`] / [`io_poll`] / [`DriverRole`] — the reactor
+//!   seam: the I/O reactor (`lwt-net`) registers an [`IoDriver`] (a
+//!   zero-timeout poll, a blocking turn, a wake); every backend polls
+//!   it when a steal sweep comes up dry, and the first worker to
+//!   commit to sleep holds the driver role and sleeps in the blocking
+//!   turn — there is no reactor thread.
 //! * [`TimerWheel`] — the hierarchical timer wheel behind every
 //!   deadline in the serving stack (TCP read/write deadlines, HTTP
-//!   idle/header timeouts, graceful-drain deadlines). The reactor
-//!   driver advances it; a waiter — suspended ULT, async task or
+//!   idle/header timeouts, graceful-drain deadlines). Whoever turns
+//!   the reactor advances it; a waiter — suspended ULT, async task or
 //!   parked OS thread alike — registers its waker on a [`TimerEntry`].
 
 #![warn(missing_docs)]
@@ -63,9 +64,9 @@ mod victim;
 
 pub use chase_lev::{ChaseLev, Steal, Stealer, Worker};
 pub use injector::Injector;
-pub use io::{
-    io_hand_back, io_poll, io_poll_registered, set_io_poll, IoLook, IoStandby, IO_STANDBY,
-};
+#[cfg(lwt_model)]
+pub use io::Mutant;
+pub use io::{block_thread_on_io, io_busy_poll, io_poll, set_io_poll, DriverRole, IoDriver};
 pub use park::{
     current_wait_policy, force_wait_policy, reset_wait_policy_to_env, ParkGroup, ParkResult,
     WaitPolicy,

@@ -34,6 +34,21 @@
 //!
 //! [wake propagation]: ParkGroup::park
 //!
+//! ## The driver role
+//!
+//! With a reactor registered (`crate::io`), one sleeper sleeps in the
+//! reactor's blocking turn instead of on its parker: the first to
+//! commit to sleep while the process's driver role is free takes it,
+//! marks its slot *driving*, fences and re-checks both `pending()` and
+//! its parker token before every turn. The notify side deposits the
+//! token as always, then fences and reads the target's driving mark,
+//! and ends the turn through the reactor's wake if it is set — the
+//! same store-buffering pair again, so a token is either seen by the
+//! holder's re-check or wakes its turn. A holder whose turn delivered
+//! work only to others turns again; one that leaves with work, like
+//! any sleeper that wakes to work while the role is vacant, wakes one
+//! sleeper from the role's bench to take it over (the hand-on).
+//!
 //! ## Wait policies (`LWT_WAIT_POLICY`)
 //!
 //! Mirroring `OMP_WAIT_POLICY`:
@@ -70,6 +85,7 @@ use lwt_metrics::registry::{emit, COUNTERS};
 use lwt_metrics::EventKind;
 use lwt_sync::Parker;
 
+use crate::io::{Benched, DriverRole, IoDriver};
 use crate::sysapi::{fence, AtomicBool, AtomicUsize};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -180,6 +196,9 @@ struct ParkSlot {
     /// worker still on its way down deposits a token the imminent
     /// sleep consumes immediately.
     announced: AtomicBool,
+    /// The worker holds the driver role and sleeps in the reactor's
+    /// turn, which a token alone does not end (module docs).
+    driving: AtomicBool,
     /// The adaptive grace budget (module docs).
     grace: Grace,
 }
@@ -254,6 +273,9 @@ pub struct ParkGroup {
     /// cleared by the next worker exiting the idle path. While set,
     /// further notifies are suppressed (wake-one).
     handoff: AtomicBool,
+    /// The driver role this group's sleepers take and bench on: the
+    /// process's, except in the model suite.
+    role: &'static DriverRole,
 }
 
 /// Backstop sleep for `passive`: pure defense in depth, see module
@@ -299,12 +321,23 @@ impl ParkGroup {
                 .map(|_| ParkSlot {
                     parker: Parker::new(),
                     announced: AtomicBool::new(false),
+                    driving: AtomicBool::new(false),
                     grace: Grace::new(budget),
                 })
                 .collect(),
             idle: AtomicUsize::new(0),
             handoff: AtomicBool::new(false),
+            role: crate::io::driver(),
         }
+    }
+
+    /// This group with its own driver role in place of the process's,
+    /// so each model execution starts from a vacant one.
+    #[cfg(lwt_model)]
+    #[must_use]
+    pub fn driven_by(mut self, role: &'static DriverRole) -> Self {
+        self.role = role;
+        self
     }
 
     /// Number of parker slots.
@@ -376,13 +409,12 @@ impl ParkGroup {
             // between work units never pay a sleep/wake round trip.
             // The reactor is polled too: with blocked units suspended
             // instead of spinning, an idle-but-awake worker is the
-            // common state of a serving pool. While workers poll, the
-            // reactor driver steps aside (`crate::io`) and readiness
-            // reaches its waiter from here, without a driver wake.
+            // common state of a serving pool, and readiness reaches its
+            // waiter from here without waking the role's holder.
             // The yields are counted once per window, on its way out.
             for round in 1..=rounds {
                 crate::sysapi::yield_thread();
-                if crate::io_poll() > 0 || pending() > 0 {
+                if self.role.poll() > 0 || pending() > 0 {
                     COUNTERS.grace_yields.add(u64::from(round));
                     slot.grace.restore();
                     self.exit_idle(slot);
@@ -403,22 +435,30 @@ impl ParkGroup {
         COUNTERS.workers_parked.rise();
         emit(EventKind::WorkerParked, worker as u64);
         lwt_metrics::timeline::enter(lwt_metrics::WorkerState::Parked);
-        // A sleeper polls no more: hand the poller role back to the
-        // reactor driver, so a fully parked pool still hears readiness.
-        crate::io_hand_back();
 
         // Real build: sleep with the policy's backstop. Model build:
         // sleep without one, so a lost wake is a detected livelock
         // rather than a silently absorbed timeout.
         #[cfg(not(lwt_model))]
-        let woken = slot.parker.park_timeout(match policy {
+        let backstop = Some(match policy {
             WaitPolicy::Passive => PASSIVE_BACKSTOP,
             _ => ADAPTIVE_BACKSTOP,
         });
         #[cfg(lwt_model)]
-        let woken = {
-            slot.parker.park();
-            true
+        let backstop = None;
+        let io = self.role.io();
+        let woken = match io {
+            // With a reactor, the first sleeper drives it and the rest
+            // wait on the role's bench.
+            Some(io) if self.role.take_or_bench(Benched::Worker(&slot.parker)) => {
+                self.drive(slot, io, backstop, &pending)
+            }
+            Some(_) => {
+                let woken = sleep(&slot.parker, backstop);
+                self.role.unbench(&Benched::Worker(&slot.parker));
+                woken
+            }
+            None => sleep(&slot.parker, backstop),
         };
 
         if let Some(asleep_at) = asleep_at.filter(|_| woken) {
@@ -435,13 +475,64 @@ impl ParkGroup {
 
         // Wake propagation: a token plus a backlog means the burst
         // that woke us was wider than one unit — pass the wake on.
-        if woken && pending() > 1 {
+        // Leaving to run work, hand the driver role on if it is vacant.
+        let backlog = if woken { pending() } else { 0 };
+        if backlog > 1 {
             self.notify();
+        }
+        if backlog > 0 && io.is_some() {
+            self.role.hand_on();
         }
         if woken {
             ParkResult::Woken
         } else {
             ParkResult::TimedOut
+        }
+    }
+
+    /// Sleep as the role's holder: in the reactor's turn, re-checking
+    /// `pending()` and the token behind the driving mark before each
+    /// one. `true` if it leaves for work or a token, `false` if a turn
+    /// ended empty-handed (the backstop). Gives the role up either way.
+    fn drive(
+        &self,
+        slot: &ParkSlot,
+        io: &dyn IoDriver,
+        backstop: Option<Duration>,
+        pending: &impl Fn() -> usize,
+    ) -> bool {
+        slot.driving.store(true, Ordering::SeqCst);
+        let mut delivered = usize::MAX;
+        let woken = loop {
+            // Pairs with the notify side's token → fence → driving: a
+            // token this re-check misses finds the mark and ends the
+            // turn.
+            fence(Ordering::SeqCst);
+            if slot.parker.try_park() || pending() > 0 {
+                break true;
+            }
+            if delivered == 0 {
+                break false;
+            }
+            delivered = io.turn(backstop);
+        };
+        slot.driving.store(false, Ordering::SeqCst);
+        self.role.release();
+        woken
+    }
+
+    /// After a token for `slot`: if it sleeps in the reactor's turn
+    /// rather than on its parker, end the turn too.
+    fn wake_driving(&self, slot: &ParkSlot) {
+        #[cfg(lwt_model)]
+        if self.role.mutant == Some(crate::io::Mutant::NotifySkipsWake) {
+            return;
+        }
+        fence(Ordering::SeqCst);
+        if slot.driving.load(Ordering::SeqCst) {
+            if let Some(io) = self.role.io() {
+                io.wake();
+            }
         }
     }
 
@@ -485,6 +576,7 @@ impl ParkGroup {
                 // down to the sleep, the deposit makes that sleep
                 // return immediately. Nothing is lost either way.
                 slot.parker.unpark();
+                self.wake_driving(slot);
                 return;
             }
         }
@@ -507,6 +599,7 @@ impl ParkGroup {
         if let Some(slot) = self.slots.get(target) {
             if slot.announced.load(Ordering::SeqCst) {
                 slot.parker.unpark();
+                self.wake_driving(slot);
             }
         }
     }
@@ -520,6 +613,19 @@ impl ParkGroup {
         fence(Ordering::SeqCst);
         for slot in self.slots.iter() {
             slot.parker.unpark();
+            self.wake_driving(slot);
+        }
+    }
+}
+
+/// Sleep on `parker` until a token, or the backstop (`None`: no
+/// backstop, the model build). `true` if a token ended it.
+fn sleep(parker: &Parker, backstop: Option<Duration>) -> bool {
+    match backstop {
+        Some(backstop) => parker.park_timeout(backstop),
+        None => {
+            parker.park();
+            true
         }
     }
 }

@@ -23,8 +23,8 @@
 //!    `cancel` runs under the `lwt-model` checker
 //!    (`crates/model/tests/timer.rs`). To keep the wheel itself pure
 //!    state machine, it never reads a clock: time is a `u64` tick the
-//!    caller supplies (the reactor driver maps it to milliseconds
-//!    since its epoch).
+//!    caller supplies (the reactor maps it to milliseconds since its
+//!    epoch).
 //! 3. **Cheap cancellation.** The common case — a deadline armed per
 //!    I/O op and cancelled microseconds later when the op completes —
 //!    must not thrash the slot vectors. `cancel` is one CAS; the dead

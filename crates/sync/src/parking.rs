@@ -99,6 +99,15 @@ impl Parker {
         }
     }
 
+    /// Consume a pending token without blocking: `true` if there was
+    /// one. For a thread that sleeps somewhere else (the reactor's
+    /// turn) while its parker still collects the tokens aimed at it.
+    pub fn try_park(&self) -> bool {
+        self.state
+            .compare_exchange(NOTIFIED, IDLE, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
     /// Block the calling OS thread until a token is available, then
     /// consume it.
     #[cfg(not(lwt_model))]

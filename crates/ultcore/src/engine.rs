@@ -3,7 +3,8 @@
 //!
 //! * [`Policy`] + [`worker_loop`] — the scheduling loop every worker,
 //!   processor and execution stream runs. The loop owns the idle path
-//!   (exit test → reactor poll → backoff → park); a policy owns what
+//!   (exit test → reactor poll → backoff → park) and the busy poll; a
+//!   policy owns what
 //!   Table I says the libraries disagree on: where the next unit comes
 //!   from, how it runs, which queues the worker can reach.
 //! * [`Control`] + [`Crew`] — the lifecycle: named worker threads, the
@@ -81,11 +82,17 @@ pub trait Policy {
     }
 }
 
+/// Units a busy worker dispatches between two reactor polls while no
+/// thread holds the driver role: the bound on how long readiness waits
+/// when every worker is busy (tokio's `event_interval` is 61 too).
+const BUSY_POLL_DISPATCHES: u32 = 61;
+
 /// The scheduling loop of worker `worker`, run on its own OS thread
 /// until `ctl` says stop and the policy reports the worker drained (or
 /// says abandon). `label` names the backend in watchdog reports.
 pub fn worker_loop<P: Policy>(ctl: &Control, worker: usize, label: &'static str, mut policy: P) {
     let mut backoff = Backoff::new();
+    let mut dispatched: u32 = 0;
     // Timestamp of the moment this worker ran dry; 0 while it has
     // work. Feeds the steal-dwell histogram on the next acquire: two
     // clock reads per idle episode, none per unit while busy.
@@ -109,6 +116,14 @@ pub fn worker_loop<P: Policy>(ctl: &Control, worker: usize, label: &'static str,
                 }
                 backoff.reset();
                 policy.run(unit);
+                // Nobody sleeps in the reactor while every worker is
+                // busy: poll it now and then, or readiness would wait
+                // for the next worker to run dry.
+                dispatched += 1;
+                if dispatched == BUSY_POLL_DISPATCHES {
+                    dispatched = 0;
+                    let _ = lwt_sched::io_busy_poll();
+                }
             }
             None => {
                 if P::STEALS && idle_since_ns == 0 {

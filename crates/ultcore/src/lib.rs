@@ -98,7 +98,7 @@ pub trait Requeue: Send + Sync + 'static {
 
     /// Make an [`awaken`]ed `ult` runnable again on `worker`, the one
     /// it suspended on — called *from whatever thread fired the wake*
-    /// (the reactor driver, a timer, another runtime's worker), so
+    /// (a reactor turn, a timer, another runtime's worker), so
     /// implementations must enqueue through a path any thread may use,
     /// keep the unit reachable if that worker is tied up, and wake the
     /// worker if it sleeps. Defaults to [`Requeue::requeue`].

@@ -513,3 +513,142 @@ fn finalize_reports_a_still_blocked_reader_every_backend() {
         assert!(!reader.is_finished());
     }
 }
+
+// ---------------------------------------------------------------------------
+// The reactor is a role, not a thread
+// ---------------------------------------------------------------------------
+
+/// Names of this process's threads.
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .collect()
+}
+
+/// Starting the reactor and serving a request start no thread: the
+/// sleeping workers drive it themselves.
+#[test]
+fn the_reactor_starts_no_thread_every_backend() {
+    if !isolated("the_reactor_starts_no_thread_every_backend") {
+        return;
+    }
+    use std::io::Write as _;
+    for kind in BackendKind::ALL {
+        let glt = Glt::builder(kind).workers(2).build();
+        let before = lwt::metrics::snapshot().counters;
+        lwt::net::ensure_started();
+        let server = http::serve(&glt, TcpListener::bind("127.0.0.1:0").expect("bind"), |_| {
+            http::Response::ok("r")
+        })
+        .expect("serve");
+        let mut client = std::net::TcpStream::connect(server.addr()).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        client.write_all(b"GET /r HTTP/1.1\r\nHost: t\r\n\r\n").expect("request write");
+        let resp = read_response_with(|chunk| {
+            std::io::Read::read(&mut client, chunk).expect("response read")
+        });
+        assert!(resp.starts_with("HTTP/1.1 200 OK"), "on {kind}: {resp}");
+        let names = thread_names();
+        assert!(
+            !names.iter().any(|n| n == "lwt-net-reactor"),
+            "a reactor thread runs on {kind}: {names:?}"
+        );
+        let spawned = lwt::metrics::snapshot().counters.delta(&before).os_threads_spawned;
+        assert_eq!(spawned, 0, "serving a request spawned OS threads on {kind}");
+        drop(client);
+        server.shutdown();
+        glt.finalize().expect("clean drain");
+    }
+}
+
+/// One link of a chain of short units that keeps `worker` busy until
+/// `stop`: each spawns its successor before it returns, so the
+/// worker's queue never runs dry. Pinned where the backend places.
+fn chain(glt: Glt, worker: usize, stop: Arc<std::sync::atomic::AtomicBool>) {
+    if stop.load(std::sync::atomic::Ordering::Acquire) {
+        return;
+    }
+    let next = glt.clone();
+    let link = move || chain(next, worker, stop);
+    match glt.kind() {
+        BackendKind::MassiveThreads | BackendKind::Go => drop(glt.ult_create(link)),
+        _ => drop(glt.ult_create_to(worker, link).expect("placement")),
+    }
+}
+
+/// With every worker busy nobody sleeps in the reactor, so nobody
+/// blocks in `epoll_wait`: the busy workers' periodic poll is what
+/// gets a blocked reader its bytes.
+#[test]
+fn readiness_reaches_a_blocked_ult_while_every_worker_is_busy_every_backend() {
+    if !isolated("readiness_reaches_a_blocked_ult_while_every_worker_is_busy_every_backend") {
+        return;
+    }
+    use std::io::Write as _;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    for kind in BackendKind::ALL.into_iter().filter(|&k| k != BackendKind::MassiveThreads) {
+        let glt = Glt::builder(kind).workers(2).build();
+        let (stream, peer) = quiet_pair();
+        let reading = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&reading);
+        let reader = glt.ult_create(move || {
+            flag.store(true, Ordering::Release);
+            let mut buf = [0u8; 4];
+            stream.read_exact(&mut buf).expect("read");
+            (buf, std::time::Instant::now())
+        });
+        while !reading.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let stop = Arc::new(AtomicBool::new(false));
+        for worker in 0..2 {
+            chain(glt.clone(), worker, Arc::clone(&stop));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let sent = std::time::Instant::now();
+        (&peer).write_all(b"busy").expect("peer write");
+        // Keep the chains going well past the bound.
+        std::thread::sleep(Duration::from_millis(200));
+        stop.store(true, Ordering::Release);
+        let (buf, resumed) = join_within(reader, "reader behind busy workers");
+        assert_eq!(&buf, b"busy");
+        let took = resumed.duration_since(sent);
+        assert!(took < Duration::from_millis(50), "read took {took:?} on {kind}");
+        glt.finalize().expect("clean drain");
+    }
+}
+
+/// No runtime at all: a plain thread waiting on a socket drives the
+/// reactor itself — its read returns when the peer writes, and its
+/// deadline fires.
+#[test]
+fn a_plain_thread_drives_the_reactor_without_a_runtime() {
+    if !isolated("a_plain_thread_drives_the_reactor_without_a_runtime") {
+        return;
+    }
+    use std::io::Write as _;
+    let (stream, peer) = quiet_pair();
+    let writer = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(50));
+        (&peer).write_all(b"late").expect("peer write");
+        peer
+    });
+    let started = std::time::Instant::now();
+    let mut buf = [0u8; 4];
+    stream.read_exact(&mut buf).expect("read");
+    let took = started.elapsed();
+    assert_eq!(&buf, b"late");
+    assert!(took < Duration::from_secs(1), "read took {took:?}");
+    let _peer = writer.join().expect("writer");
+
+    stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let started = std::time::Instant::now();
+    let err = stream.read(&mut buf).expect_err("nothing more was sent");
+    let waited = started.elapsed();
+    assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+    assert!(waited >= Duration::from_millis(90), "early: {waited:?}");
+    assert!(waited < Duration::from_secs(1), "late: {waited:?}");
+}
