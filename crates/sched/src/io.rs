@@ -1,42 +1,17 @@
-//! The reactor seam and the driver role: how the backends' idle paths
-//! reach the I/O reactor with the dependency arrow pointing the right
-//! way, and which thread blocks in it.
+//! The reactor seam and the driver role. `lwt-net` sits *above* the
+//! backends, so its epoll reactor registers itself here as an
+//! [`IoDriver`]; worker loops poll it when a sweep comes up dry
+//! ([`io_poll`]) and every few units while busy ([`io_busy_poll`]). A
+//! non-zero poll means queues may have grown: re-sweep before parking.
 //!
-//! `lwt-net` (the epoll reactor) sits *above* the backend crates in
-//! the dependency graph — it spawns work through the GLT API — so the
-//! backends cannot call into it directly. Instead the reactor
-//! registers itself here at initialization as an [`IoDriver`]: a
-//! zero-timeout poll, a blocking turn and a wake. Every backend's
-//! worker loop calls [`io_poll`] when its steal sweep comes up dry, and
-//! [`io_busy_poll`] every few dispatches while it is busy, so readiness
-//! reaches its waiters (requeued through the backend's own `post_task`
-//! path) without anyone having to be woken for it.
-//!
-//! **The driver role.** There is no reactor thread. The one thread
-//! allowed to block in the reactor's turn is the *holder* of the
-//! process's [`DriverRole`]: a worker that commits to sleep in
-//! [`ParkGroup::park`] takes the role if it is free and sleeps in the
-//! turn instead of on its parker; every other sleeper waits on the
-//! role's *bench*. A plain OS thread waiting on a socket takes it too
-//! ([`block_thread_on_io`]), so a process with no runtime still has its
-//! driver. Whoever leaves the idle path to run work while the role is
-//! vacant wakes one benched sleeper, which takes the role over — the
-//! hand-on (DESIGN.md §15). `crates/model/tests/driver_slot.rs` checks
-//! the role against the real `ParkGroup`.
-//!
-//! Without a reactor nothing is registered, and [`io_poll`] and
-//! `ParkGroup::park`'s check are one load and a predictable branch
-//! each: runtimes that never touch the network pay nothing for this
-//! seam.
-//!
-//! Ordering contract (DESIGN.md §15): a poll carries no
-//! synchronization promises. A non-zero return means "readiness was
-//! dispatched; ready queues may have grown through `post_task`", and
-//! the caller must re-run its sweep before parking — the same re-check
-//! discipline [`ParkGroup::park`]'s `pending` closure enforces for
-//! queue pushes.
-//!
-//! [`ParkGroup::park`]: crate::ParkGroup::park
+//! **The driver role.** There is no reactor thread. The one thread that
+//! blocks in the reactor's turn holds the process's [`DriverRole`]: the
+//! first worker to commit to sleep in `ParkGroup::park`, or a plain
+//! thread waiting on a socket ([`block_thread_on_io`]). Other sleepers
+//! wait on the role's *bench*; a holder that leaves to run work wakes one
+//! of them to take it over (the hand-on). DESIGN.md §15; checked by
+//! `crates/model/tests/driver_slot.rs`.
+//! Without a reactor, the role costs `park` one load.
 
 use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
@@ -47,37 +22,29 @@ use lwt_sync::{Parker, SpinLock};
 
 use crate::sysapi::AtomicBool;
 
-/// The reactor, as the idle paths see it: the three hooks `lwt-net`
-/// registers through [`set_io_poll`].
+/// The reactor as the idle paths see it ([`set_io_poll`]).
 pub trait IoDriver: Sync {
-    /// One zero-timeout turn: advance the timer wheel and dispatch
-    /// whatever is ready, skipped when another thread is already in
-    /// one. Returns the number of deliveries (timers fired included).
+    /// One zero-timeout turn, skipped if another thread is in one.
+    /// Returns the deliveries made (timers fired included).
     fn poll(&self) -> usize;
-
-    /// One blocking turn, for the role holder only: sleep until
-    /// readiness, the wheel's next deadline, a [`IoDriver::wake`] or
-    /// `cap` (`None`: no cap), then dispatch. Returns the number of
-    /// deliveries; 0 means the turn ended empty-handed.
+    /// The role holder's blocking turn: sleep until readiness, the
+    /// next timer deadline, a [`IoDriver::wake`] or `cap` (`None`: no
+    /// cap), then dispatch. Returns the deliveries made.
     fn turn(&self, cap: Option<Duration>) -> usize;
-
-    /// End the holder's current (or next) turn early.
+    /// End the holder's current (or next) turn.
     fn wake(&self);
 }
 
-/// A sleeper waiting on the bench, not holding the role.
+/// A sleeper on the bench: a worker in `ParkGroup::park` by its slot's
+/// parker — it unbenches before it leaves `park`, and the hand-on wakes
+/// under the bench lock, so the pointer is live whenever used — or a
+/// plain thread by its waker.
 pub(crate) enum Benched {
-    /// A worker asleep in `ParkGroup::park`: its slot's parker. Valid
-    /// while listed — the worker unlists itself, under the bench lock,
-    /// before it leaves `park`, and the hand-on wakes under that lock.
     Worker(*const Parker),
-    /// A plain OS thread in [`block_thread_on_io`]: its thread waker.
     Thread(Waker),
 }
 
-// SAFETY: the parker pointer is only dereferenced under the bench lock
-// while its worker is still inside `park` (see `Benched::Worker`), and
-// `Parker` is `Sync`.
+// SAFETY: see `Benched`; `Parker` is `Sync`.
 unsafe impl Send for Benched {}
 
 impl Benched {
@@ -88,46 +55,23 @@ impl Benched {
             _ => false,
         }
     }
-
-    fn wake(&self) {
-        match self {
-            // SAFETY: see `Benched::Worker`; the caller holds the lock.
-            Benched::Worker(parker) => unsafe { (**parker).unpark() },
-            Benched::Thread(waker) => waker.wake_by_ref(),
-        }
-    }
 }
 
-/// A seeded defect, for the model suite's mutation checks.
-#[cfg(lwt_model)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mutant {
-    /// A notify deposits its token but never ends a holder's turn.
-    NotifySkipsWake,
-    /// Leaving the idle path with work never wakes a benched sleeper.
-    NoHandOn,
-}
-
-/// Who may block in the reactor's turn (module docs). One per process
-/// ([`set_io_poll`] registers the reactor with it); the model suite
-/// builds its own.
+/// Who may block in the reactor's turn (module docs): one per process,
+/// plus the model suite's own.
 pub struct DriverRole {
     io: OnceLock<&'static dyn IoDriver>,
-    /// A thread holds the role. Written under the bench lock; read
-    /// without it only as the busy poll's hint.
+    /// Taken under the bench lock.
     held: AtomicBool,
-    /// Sleepers without the role.
     bench: SpinLock<Vec<Benched>>,
+    /// Zero-timeout polls so far: a hint, outside the model facade.
+    polls: std::sync::atomic::AtomicUsize,
+    /// The model suite's seeded defect: no hand-on.
     #[cfg(lwt_model)]
-    pub(crate) mutant: Option<Mutant>,
+    no_hand_on: bool,
 }
 
-impl Default for DriverRole {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
+#[allow(clippy::new_without_default)]
 impl DriverRole {
     /// A vacant role with no reactor registered.
     #[must_use]
@@ -136,22 +80,22 @@ impl DriverRole {
             io: OnceLock::new(),
             held: AtomicBool::new(false),
             bench: SpinLock::new(Vec::new()),
+            polls: std::sync::atomic::AtomicUsize::new(0),
             #[cfg(lwt_model)]
-            mutant: None,
+            no_hand_on: false,
         }
     }
 
-    /// A role carrying a seeded defect (model suite only).
+    /// A role whose hand-on is removed: the model suite's mutation.
     #[cfg(lwt_model)]
     #[must_use]
-    pub const fn mutated(mutant: Mutant) -> Self {
+    pub const fn without_hand_on() -> Self {
         let mut role = Self::new();
-        role.mutant = Some(mutant);
+        role.no_hand_on = true;
         role
     }
 
-    /// Register the reactor. First registration wins and returns
-    /// `true`; later calls are ignored and return `false`.
+    /// Register the reactor; the first registration wins (`true`).
     pub fn set_io(&self, io: &'static dyn IoDriver) -> bool {
         self.io.set(io).is_ok()
     }
@@ -163,113 +107,108 @@ impl DriverRole {
 
     #[inline]
     pub(crate) fn poll(&self) -> usize {
-        self.io().map_or(0, |io| io.poll())
+        self.io().map_or(0, |io| {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            io.poll()
+        })
     }
 
-    /// Take the role if it is free (`true`), else put `me` on the bench.
+    pub(crate) fn polls(&self) -> usize {
+        self.polls.load(Ordering::Relaxed)
+    }
+
+    /// Take the role if it is free (`true`), else bench `me`.
     pub(crate) fn take_or_bench(&self, me: Benched) -> bool {
         let mut bench = self.bench.lock();
-        if self.held.load(Ordering::SeqCst) {
+        let held = self.held.swap(true, Ordering::SeqCst);
+        if held {
             bench.push(me);
-            false
-        } else {
-            self.held.store(true, Ordering::SeqCst);
-            true
         }
+        !held
     }
 
-    /// Leave the bench, if a hand-on has not already taken `me` off it.
     pub(crate) fn unbench(&self, me: &Benched) {
         self.bench.lock().retain(|b| !b.is(me));
     }
 
-    /// Give the role up. The caller hands on if it leaves to run work.
     pub(crate) fn release(&self) {
-        let _bench = self.bench.lock();
         self.held.store(false, Ordering::SeqCst);
     }
 
-    /// The caller leaves the idle path to run work: if nobody holds the
-    /// role, wake one benched sleeper to take it over.
+    /// Give the role up and bench `me` — unless someone is benched
+    /// already, who could not take it over.
+    pub(crate) fn step_down(&self, me: Benched) -> bool {
+        let mut bench = self.bench.lock();
+        let free = bench.is_empty();
+        if free {
+            self.held.store(false, Ordering::SeqCst);
+            bench.push(me);
+        }
+        free
+    }
+
+    /// A holder leaves the idle path to run work: if the role is still
+    /// vacant, wake the last sleeper benched to take it over.
     pub(crate) fn hand_on(&self) {
         #[cfg(lwt_model)]
-        if self.mutant == Some(Mutant::NoHandOn) {
+        if self.no_hand_on {
             return;
         }
         let mut bench = self.bench.lock();
         if !self.held.load(Ordering::SeqCst) {
-            if let Some(next) = bench.pop() {
-                next.wake();
+            match bench.pop() {
+                // SAFETY: see `Benched::Worker`; the lock is held.
+                Some(Benched::Worker(parker)) => unsafe { (*parker).unpark() },
+                Some(Benched::Thread(waker)) => waker.wake(),
+                None => {}
             }
         }
     }
-
-    fn wake_holder(&self) {
-        if let Some(io) = self.io() {
-            io.wake();
-        }
-    }
 }
 
-/// The process's role, for the reactor `lwt-net` registers.
-static DRIVER: DriverRole = DriverRole::new();
+pub(crate) static DRIVER: DriverRole = DriverRole::new();
 
-/// The process role, for `ParkGroup`.
-pub(crate) fn driver() -> &'static DriverRole {
-    &DRIVER
-}
-
-/// Register the process-wide reactor: its zero-timeout poll, blocking
-/// turn and wake ([`IoDriver`]). First registration wins and returns
-/// `true`; later calls are ignored and return `false` (the reactor is
-/// a process singleton, so a second registration is a bug on the
-/// caller's side, but ignoring it keeps racing initializers safe).
+/// Register the process's reactor. First registration wins and returns
+/// `true`; later calls are ignored (a racing initializer stays safe).
 pub fn set_io_poll(io: &'static dyn IoDriver) -> bool {
     DRIVER.set_io(io)
 }
 
-/// Poll the reactor for readiness, if one is running. Returns the
-/// number of deliveries (0 when no reactor is registered, when another
-/// thread holds the poll slot, or when nothing was ready).
-///
-/// Backends call this on the idle path: a non-zero return means wakes
-/// were delivered — some may have landed in this worker's own queues —
-/// so the caller should re-sweep instead of parking.
+/// Poll the reactor, if one is registered: the deliveries made. A
+/// non-zero return means wakes may have landed in the caller's own
+/// queues, so it should re-sweep instead of parking.
 #[inline]
 #[must_use]
 pub fn io_poll() -> usize {
     DRIVER.poll()
 }
 
-/// A busy worker's poll: [`io_poll`] unless a thread holds the driver
-/// role, in which case readiness already has someone waiting for it.
+/// A busy worker's poll: [`io_poll`] while nobody holds the role.
 #[inline]
-#[must_use]
-pub fn io_busy_poll() -> usize {
-    if DRIVER.held.load(Ordering::Relaxed) {
-        return 0;
+pub fn io_busy_poll() {
+    if !DRIVER.held.load(Ordering::Relaxed) {
+        let _ = io_poll();
     }
-    io_poll()
 }
 
-/// The waker a plain-thread holder parks on its own registrations: a
-/// delivery to it, by another poller or a close, must end the turn the
-/// thread is blocked in rather than unpark a thread that is not parked.
+/// The waker a plain-thread holder leaves on its registrations: a
+/// delivery by another poller, or a close, ends its turn.
 fn holder_waker() -> Waker {
     static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake, drop);
     fn clone(_: *const ()) -> RawWaker {
         RawWaker::new(std::ptr::null(), &VTABLE)
     }
     fn wake(_: *const ()) {
-        DRIVER.wake_holder();
+        if let Some(io) = DRIVER.io() {
+            io.wake();
+        }
     }
     fn drop(_: *const ()) {}
-    // SAFETY: no function of the vtable touches the (null) data
-    // pointer; clone returns an equivalent waker and drop frees nothing.
+    // SAFETY: no vtable function touches the (null) data pointer.
     unsafe { Waker::from_raw(RawWaker::new(std::ptr::null(), &VTABLE)) }
 }
 
-/// Gives the role up and hands on, however the holder's wait ends.
+/// Gives the role up and hands it on, however the holder's wait ends.
 struct Holding;
 
 impl Drop for Holding {
@@ -279,10 +218,9 @@ impl Drop for Holding {
     }
 }
 
-/// [`lwt_sync::block_thread_on`] for a plain OS thread waiting on the
-/// reactor: while the wait is pending the thread holds the driver role
-/// if it is free, and blocks in the reactor's turn; otherwise it waits
-/// on the bench. It leaves with its result, so it hands on.
+/// [`lwt_sync::block_thread_on`] for a plain thread waiting on the
+/// reactor: it turns the reactor itself if the role is free, else
+/// sleeps on the bench.
 pub fn block_thread_on_io<T>(mut poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
     let Some(io) = DRIVER.io() else {
         return lwt_sync::block_thread_on(poll);
@@ -358,14 +296,14 @@ mod tests {
     }
 
     #[test]
-    fn an_unregistered_role_polls_nothing_and_is_never_held() {
+    fn the_role_is_held_once_and_the_bench_empties() {
         let role = DriverRole::new();
-        assert_eq!(role.poll(), 0);
+        assert_eq!(role.poll(), 0, "no reactor registered");
         assert!(role.take_or_bench(Benched::Thread(holder_waker())));
         assert!(!role.take_or_bench(Benched::Thread(holder_waker())), "held twice");
         role.unbench(&Benched::Thread(holder_waker()));
         assert!(role.bench.lock().is_empty());
         role.release();
-        assert!(!role.held.load(Ordering::SeqCst));
+        assert!(role.take_or_bench(Benched::Thread(holder_waker())), "not released");
     }
 }

@@ -64,8 +64,6 @@ mod victim;
 
 pub use chase_lev::{ChaseLev, Steal, Stealer, Worker};
 pub use injector::Injector;
-#[cfg(lwt_model)]
-pub use io::Mutant;
 pub use io::{block_thread_on_io, io_busy_poll, io_poll, set_io_poll, DriverRole, IoDriver};
 pub use park::{
     current_wait_policy, force_wait_policy, reset_wait_policy_to_env, ParkGroup, ParkResult,

@@ -34,20 +34,12 @@
 //!
 //! [wake propagation]: ParkGroup::park
 //!
-//! ## The driver role
-//!
-//! With a reactor registered (`crate::io`), one sleeper sleeps in the
-//! reactor's blocking turn instead of on its parker: the first to
-//! commit to sleep while the process's driver role is free takes it,
-//! marks its slot *driving*, fences and re-checks both `pending()` and
-//! its parker token before every turn. The notify side deposits the
-//! token as always, then fences and reads the target's driving mark,
-//! and ends the turn through the reactor's wake if it is set — the
-//! same store-buffering pair again, so a token is either seen by the
-//! holder's re-check or wakes its turn. A holder whose turn delivered
-//! work only to others turns again; one that leaves with work, like
-//! any sleeper that wakes to work while the role is vacant, wakes one
-//! sleeper from the role's bench to take it over (the hand-on).
+//! With an I/O reactor registered, the first worker to commit to sleep
+//! while the driver role (`crate::io`) is free sleeps in the reactor's
+//! turn instead: it marks its slot *driving*, then fences and re-checks
+//! `pending()` and its token before each turn, while a notifier that
+//! deposits a token fences, reads the mark and wakes the turn — the
+//! same store-buffering pair again.
 //!
 //! ## Wait policies (`LWT_WAIT_POLICY`)
 //!
@@ -196,8 +188,8 @@ struct ParkSlot {
     /// worker still on its way down deposits a token the imminent
     /// sleep consumes immediately.
     announced: AtomicBool,
-    /// The worker holds the driver role and sleeps in the reactor's
-    /// turn, which a token alone does not end (module docs).
+    /// The worker sleeps in the reactor's turn, which a token alone
+    /// does not end (module docs).
     driving: AtomicBool,
     /// The adaptive grace budget (module docs).
     grace: Grace,
@@ -273,8 +265,7 @@ pub struct ParkGroup {
     /// cleared by the next worker exiting the idle path. While set,
     /// further notifies are suppressed (wake-one).
     handoff: AtomicBool,
-    /// The driver role this group's sleepers take and bench on: the
-    /// process's, except in the model suite.
+    /// The process's driver role (the model suite's own, there).
     role: &'static DriverRole,
 }
 
@@ -327,12 +318,12 @@ impl ParkGroup {
                 .collect(),
             idle: AtomicUsize::new(0),
             handoff: AtomicBool::new(false),
-            role: crate::io::driver(),
+            role: &crate::io::DRIVER,
         }
     }
 
-    /// This group with its own driver role in place of the process's,
-    /// so each model execution starts from a vacant one.
+    /// This group on its own driver role: each model execution starts
+    /// from a vacant one.
     #[cfg(lwt_model)]
     #[must_use]
     pub fn driven_by(mut self, role: &'static DriverRole) -> Self {
@@ -446,19 +437,12 @@ impl ParkGroup {
         });
         #[cfg(lwt_model)]
         let backstop = None;
-        let io = self.role.io();
-        let woken = match io {
-            // With a reactor, the first sleeper drives it and the rest
-            // wait on the role's bench.
+        // With a reactor, the first sleeper drives it; the rest bench.
+        let woken = match self.role.io() {
             Some(io) if self.role.take_or_bench(Benched::Worker(&slot.parker)) => {
                 self.drive(slot, io, backstop, &pending)
             }
-            Some(_) => {
-                let woken = sleep(&slot.parker, backstop);
-                self.role.unbench(&Benched::Worker(&slot.parker));
-                woken
-            }
-            None => sleep(&slot.parker, backstop),
+            io => self.sleep(slot, backstop, io.is_some()),
         };
 
         if let Some(asleep_at) = asleep_at.filter(|_| woken) {
@@ -475,13 +459,8 @@ impl ParkGroup {
 
         // Wake propagation: a token plus a backlog means the burst
         // that woke us was wider than one unit — pass the wake on.
-        // Leaving to run work, hand the driver role on if it is vacant.
-        let backlog = if woken { pending() } else { 0 };
-        if backlog > 1 {
+        if woken && pending() > 1 {
             self.notify();
-        }
-        if backlog > 0 && io.is_some() {
-            self.role.hand_on();
         }
         if woken {
             ParkResult::Woken
@@ -490,10 +469,30 @@ impl ParkGroup {
         }
     }
 
-    /// Sleep as the role's holder: in the reactor's turn, re-checking
-    /// `pending()` and the token behind the driving mark before each
-    /// one. `true` if it leaves for work or a token, `false` if a turn
-    /// ended empty-handed (the backstop). Gives the role up either way.
+    /// Sleep on the parker until a token (`true`) or the backstop
+    /// (`None`: none, the model build), then leave the bench.
+    fn sleep(&self, slot: &ParkSlot, backstop: Option<Duration>, benched: bool) -> bool {
+        let woken = match backstop {
+            Some(backstop) => slot.parker.park_timeout(backstop),
+            None => {
+                slot.parker.park();
+                true
+            }
+        };
+        if benched {
+            self.role.unbench(&Benched::Worker(&slot.parker));
+        }
+        woken
+    }
+
+    /// Sleep as the role's holder: turn the reactor until work or a
+    /// token arrives (`true`: give the role up and hand it on) or a turn
+    /// ends empty-handed (`false`, the backstop: give it up). After a
+    /// turn that brought it nothing while another worker polled, and
+    /// with nobody benched, it benches itself and sleeps on the parker
+    /// instead: that worker sees the edges first, and takes the role
+    /// when it sleeps, so a blocked holder is not woken for every edge
+    /// an awake worker's try-first read consumes anyway.
     fn drive(
         &self,
         slot: &ParkSlot,
@@ -503,31 +502,31 @@ impl ParkGroup {
     ) -> bool {
         slot.driving.store(true, Ordering::SeqCst);
         let mut delivered = usize::MAX;
-        let woken = loop {
-            // Pairs with the notify side's token → fence → driving: a
-            // token this re-check misses finds the mark and ends the
-            // turn.
+        let mut polls = self.role.polls();
+        loop {
+            // Pairs with `wake_driving`'s fence (module docs).
             fence(Ordering::SeqCst);
-            if slot.parker.try_park() || pending() > 0 {
-                break true;
+            let woken = slot.parker.try_park() || pending() > 0;
+            if woken || delivered == 0 {
+                slot.driving.store(false, Ordering::SeqCst);
+                self.role.release();
+                if woken {
+                    self.role.hand_on();
+                }
+                return woken;
             }
-            if delivered == 0 {
-                break false;
+            if self.role.polls() != polls && self.role.step_down(Benched::Worker(&slot.parker)) {
+                slot.driving.store(false, Ordering::SeqCst);
+                return self.sleep(slot, backstop, true);
             }
+            polls = self.role.polls();
             delivered = io.turn(backstop);
-        };
-        slot.driving.store(false, Ordering::SeqCst);
-        self.role.release();
-        woken
+        }
     }
 
     /// After a token for `slot`: if it sleeps in the reactor's turn
     /// rather than on its parker, end the turn too.
     fn wake_driving(&self, slot: &ParkSlot) {
-        #[cfg(lwt_model)]
-        if self.role.mutant == Some(crate::io::Mutant::NotifySkipsWake) {
-            return;
-        }
         fence(Ordering::SeqCst);
         if slot.driving.load(Ordering::SeqCst) {
             if let Some(io) = self.role.io() {
@@ -614,18 +613,6 @@ impl ParkGroup {
         for slot in self.slots.iter() {
             slot.parker.unpark();
             self.wake_driving(slot);
-        }
-    }
-}
-
-/// Sleep on `parker` until a token, or the backstop (`None`: no
-/// backstop, the model build). `true` if a token ended it.
-fn sleep(parker: &Parker, backstop: Option<Duration>) -> bool {
-    match backstop {
-        Some(backstop) => parker.park_timeout(backstop),
-        None => {
-            parker.park();
-            true
         }
     }
 }

@@ -116,13 +116,11 @@ pub fn worker_loop<P: Policy>(ctl: &Control, worker: usize, label: &'static str,
                 }
                 backoff.reset();
                 policy.run(unit);
-                // Nobody sleeps in the reactor while every worker is
-                // busy: poll it now and then, or readiness would wait
-                // for the next worker to run dry.
+                // With every worker busy nobody sleeps in the reactor.
                 dispatched += 1;
                 if dispatched == BUSY_POLL_DISPATCHES {
                     dispatched = 0;
-                    let _ = lwt_sched::io_busy_poll();
+                    lwt_sched::io_busy_poll();
                 }
             }
             None => {
