@@ -19,9 +19,14 @@
 //! turn harvests the test's readiness edges; a harvested edge queues
 //! one unit and notifies the group, as a dispatched wake does.
 //!
-//! Coverage, as tier-1's model stage reports it: the notify race is
-//! exhaustive; the two-sleeper and hand-on cases stop at their time
-//! cap (capped). Both mutation checks must fail with a livelock.
+//! A third ordering is the holder's step-down: after a turn that
+//! brought it nothing while another thread polled, it benches itself —
+//! only if nobody is benched already.
+//!
+//! Coverage, as tier-1's model stage reports it: the notify race, the
+//! hand-on and the step-down are exhaustive; the two-sleeper case stops
+//! at its time cap (capped). Both mutation checks must fail with a
+//! livelock.
 //!
 //! Every test builds its own role, reactor and group, so the tests run
 //! in parallel; all three are leaked, well under a kilobyte per
@@ -49,6 +54,9 @@ fn checker(secs: u64) -> Checker {
 struct Kernel {
     /// Readiness edges raised and not yet harvested.
     edges: AtomicUsize,
+    /// Edges that wake nobody (a try-first read took their data),
+    /// harvested before the others.
+    flags: AtomicUsize,
     /// The eventfd: set by `wake`, consumed by the next blocking turn.
     woken: AtomicBool,
     /// `wake` writes the eventfd; `false` is the mutation in which a
@@ -72,6 +80,15 @@ impl Kernel {
 
     /// Take one edge, if any, and deliver it: queue its unit, notify.
     fn harvest(&self) -> usize {
+        let flags = self.flags.load(Ordering::SeqCst);
+        if flags > 0
+            && self
+                .flags
+                .compare_exchange(flags, flags - 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        {
+            return 1;
+        }
         let mut edges = self.edges.load(Ordering::SeqCst);
         while edges > 0 {
             match self
@@ -163,7 +180,7 @@ enum Mutant {
 /// A fresh role and reactor, `edges` already raised, and a group of
 /// `workers` driven by them with spent grace budgets (no window: every
 /// park goes straight to the commit the role is taken at).
-fn world(workers: usize, edges: usize, mutant: Option<Mutant>) -> &'static Kernel {
+fn world(workers: usize, edges: usize, mutant: Option<Mutant>) -> (&'static Kernel, &'static DriverRole) {
     let role: &'static DriverRole = Box::leak(Box::new(if mutant == Some(Mutant::NoHandOn) {
         DriverRole::without_hand_on()
     } else {
@@ -171,6 +188,7 @@ fn world(workers: usize, edges: usize, mutant: Option<Mutant>) -> &'static Kerne
     }));
     let kernel: &'static Kernel = Box::leak(Box::new(Kernel {
         edges: AtomicUsize::new(edges),
+        flags: AtomicUsize::new(0),
         woken: AtomicBool::new(false),
         wakes: mutant != Some(Mutant::NotifySkipsWake),
         turning: AtomicUsize::new(0),
@@ -182,7 +200,7 @@ fn world(workers: usize, edges: usize, mutant: Option<Mutant>) -> &'static Kerne
     assert!(role.set_io(kernel));
     let group = ParkGroup::with_spent_grace(workers).driven_by(role);
     assert!(kernel.group.set(Arc::new(group)).is_ok());
-    kernel
+    (kernel, role)
 }
 
 /// The wait policy is process-wide; every case here parks adaptively.
@@ -206,14 +224,14 @@ fn assert_livelock(outcome: Outcome, what: &str) {
 /// finds it driving and ends its turn. There is no edge to end it.
 fn role_taken_while_a_notify_races(mutant: Option<Mutant>) {
     adaptive();
-    let k = world(1, 0, mutant);
+    let (k, _) = world(1, 0, mutant);
     let worker = thread::spawn(move || k.worker(0, |_| k.shut_down()));
     k.queued.fetch_add(1, Ordering::SeqCst);
     k.group().notify();
     worker.join();
 }
 
-/// Exhaustive.
+/// Exhaustive (well under a second).
 #[test]
 fn taking_the_role_while_a_notify_races_it() {
     let outcome = checker(45).check(|| role_taken_while_a_notify_races(None));
@@ -240,7 +258,7 @@ fn a_notify_that_skips_the_wake_is_caught() {
 fn two_sleepers_one_holder_and_a_notify_reaches_either() {
     let outcome = checker(30).check(|| {
         adaptive();
-        let k = world(2, 0, None);
+        let (k, _) = world(2, 0, None);
         let workers: Vec<_> = (0..2)
             .map(|w| thread::spawn(move || k.worker(w, |_| k.shut_down())))
             .collect();
@@ -260,7 +278,7 @@ fn two_sleepers_one_holder_and_a_notify_reaches_either() {
 /// worker can harvest the second edge: it must be handed the role.
 fn hand_on_then_a_later_edge(mutant: Option<Mutant>) {
     adaptive();
-    let k = world(2, 1, mutant);
+    let (k, _) = world(2, 1, mutant);
     let run = move |unit: usize| {
         if unit == 0 {
             k.edges.fetch_add(1, Ordering::SeqCst);
@@ -276,11 +294,11 @@ fn hand_on_then_a_later_edge(mutant: Option<Mutant>) {
     other.join();
 }
 
-/// Capped.
+/// Exhaustive (about 12 s on a 2-vCPU box).
 #[test]
 fn a_holder_that_leaves_with_work_hands_on_and_a_later_edge_is_harvested() {
-    let outcome = checker(30).check(|| hand_on_then_a_later_edge(None));
-    assert!(matches!(outcome, Outcome::Pass { .. }), "{outcome:?}");
+    let outcome = checker(90).check(|| hand_on_then_a_later_edge(None));
+    assert_exhaustive(&outcome);
 }
 
 /// Mutation check: without the hand-on, the worker left benched sleeps
@@ -290,4 +308,33 @@ fn a_holder_that_leaves_with_work_hands_on_and_a_later_edge_is_harvested() {
 fn without_the_hand_on_the_later_edge_is_stranded() {
     let outcome = checker(45).run(|| hand_on_then_a_later_edge(Some(Mutant::NoHandOn)));
     assert_livelock(outcome, "a missing hand-on");
+}
+
+/// Two workers. One polls the reactor, then raises an edge that wakes
+/// nobody and one that queues a unit, then parks; the other holds the
+/// role, or benches behind the first. A holder whose turn brings it only
+/// the first edge after the other polled steps down to the bench if,
+/// and only if, nobody is benched: with the poller asleep on the bench,
+/// stepping down would leave the second edge to nobody. (Dropping that
+/// check is caught as a livelock at the first execution; the check was
+/// run once by hand, it is not kept as a seeded mutant.)
+fn step_down_then_a_later_edge() {
+    adaptive();
+    let (k, role) = world(2, 0, None);
+    let other = thread::spawn(move || k.worker(1, |_| k.shut_down()));
+    // The poll count is a plain atomic, not a schedule point: yield
+    // first, so the other worker can take the role before the poll.
+    thread::yield_now();
+    let _ = role.poll();
+    k.flags.fetch_add(1, Ordering::SeqCst);
+    k.edges.fetch_add(1, Ordering::SeqCst);
+    k.worker(0, |_| k.shut_down());
+    other.join();
+}
+
+/// Exhaustive (about 20 s on a 2-vCPU box).
+#[test]
+fn a_holder_steps_down_only_when_nobody_is_benched() {
+    let outcome = checker(90).check(step_down_then_a_later_edge);
+    assert_exhaustive(&outcome);
 }

@@ -105,8 +105,9 @@ impl DriverRole {
         self.io.get().copied()
     }
 
+    /// One zero-timeout poll of the reactor, if one is registered.
     #[inline]
-    pub(crate) fn poll(&self) -> usize {
+    pub fn poll(&self) -> usize {
         self.io().map_or(0, |io| {
             self.polls.fetch_add(1, Ordering::Relaxed);
             io.poll()
