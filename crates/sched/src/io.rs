@@ -61,7 +61,7 @@ impl Benched {
 /// plus the model suite's own.
 pub struct DriverRole {
     io: OnceLock<&'static dyn IoDriver>,
-    /// Taken under the bench lock.
+    /// Taken, and given up to the bench, under the bench lock.
     held: AtomicBool,
     bench: SpinLock<Vec<Benched>>,
     /// Zero-timeout polls so far: a hint, outside the model facade.

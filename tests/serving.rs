@@ -580,7 +580,10 @@ fn chain(glt: Glt, worker: usize, stop: Arc<std::sync::atomic::AtomicBool>) {
 
 /// With every worker busy nobody sleeps in the reactor, so nobody
 /// blocks in `epoll_wait`: the busy workers' periodic poll is what
-/// gets a blocked reader its bytes.
+/// gets a blocked reader its bytes. Not on MassiveThreads: its
+/// work-first spawn runs the chain without returning to the dispatcher,
+/// so the resumed reader waits in the owner's shared lane until the
+/// chain ends, whoever harvests the edge.
 #[test]
 fn readiness_reaches_a_blocked_ult_while_every_worker_is_busy_every_backend() {
     if !isolated("readiness_reaches_a_blocked_ult_while_every_worker_is_busy_every_backend") {
