@@ -267,6 +267,8 @@ pub struct ParkGroup {
     handoff: AtomicBool,
     /// The process's driver role (the model suite's own, there).
     role: &'static DriverRole,
+    /// `unpark_all` calls so far: their tokens always end `park`.
+    wakes_all: AtomicUsize,
 }
 
 /// Backstop sleep for `passive`: pure defense in depth, see module
@@ -319,6 +321,7 @@ impl ParkGroup {
             idle: AtomicUsize::new(0),
             handoff: AtomicBool::new(false),
             role: &crate::io::DRIVER,
+            wakes_all: AtomicUsize::new(0),
         }
     }
 
@@ -438,11 +441,35 @@ impl ParkGroup {
         #[cfg(lwt_model)]
         let backstop = None;
         // With a reactor, the first sleeper drives it; the rest bench.
-        let woken = match self.role.io() {
-            Some(io) if self.role.take_or_bench(Benched::Worker(&slot.parker)) => {
-                self.drive(slot, io, backstop, &pending)
+        let io = self.role.io();
+        let me = || Benched::Worker(&slot.parker);
+        let mut driving = io.is_some() && self.role.take_or_bench(me());
+        let woken = loop {
+            if let (true, Some(io)) = (driving, io) {
+                // `None`: it stepped down onto the bench.
+                if let Some(woken) = self.drive(slot, io, backstop, &pending) {
+                    break woken;
+                }
             }
-            io => self.sleep(slot, backstop, io.is_some()),
+            let wakes_all = self.wakes_all.load(Ordering::SeqCst);
+            let woken = match backstop {
+                Some(backstop) => slot.parker.park_timeout(backstop),
+                None => {
+                    slot.parker.park();
+                    true
+                }
+            };
+            if io.is_none() {
+                break woken;
+            }
+            self.role.unbench(&me());
+            // A token that brought no work and is not `unpark_all`'s is
+            // most likely a hand-on: take the role, or bench again if
+            // its holder is back already, without leaving `park`.
+            if !woken || pending() > 0 || self.wakes_all.load(Ordering::SeqCst) != wakes_all {
+                break woken;
+            }
+            driving = self.role.take_or_bench(me());
         };
 
         if let Some(asleep_at) = asleep_at.filter(|_| woken) {
@@ -469,37 +496,21 @@ impl ParkGroup {
         }
     }
 
-    /// Sleep on the parker until a token (`true`) or the backstop
-    /// (`None`: none, the model build), then leave the bench.
-    fn sleep(&self, slot: &ParkSlot, backstop: Option<Duration>, benched: bool) -> bool {
-        let woken = match backstop {
-            Some(backstop) => slot.parker.park_timeout(backstop),
-            None => {
-                slot.parker.park();
-                true
-            }
-        };
-        if benched {
-            self.role.unbench(&Benched::Worker(&slot.parker));
-        }
-        woken
-    }
-
     /// Sleep as the role's holder: turn the reactor until work or a
-    /// token arrives (`true`: give the role up and hand it on) or a turn
-    /// ends empty-handed (`false`, the backstop: give it up). After a
-    /// turn that brought it nothing while another worker polled, and
-    /// with nobody benched, it benches itself and sleeps on the parker
-    /// instead: that worker sees the edges first, and takes the role
-    /// when it sleeps, so a blocked holder is not woken for every edge
-    /// an awake worker's try-first read consumes anyway.
+    /// token arrives (`Some(true)`: give the role up and hand it on) or
+    /// a turn ends empty-handed (`Some(false)`, the backstop: give it
+    /// up). After a turn that brought it nothing while another worker
+    /// polled, and with nobody benched, it benches itself (`None`) to
+    /// sleep on its parker instead: that worker sees the edges first and
+    /// takes the role when it sleeps, so a blocked holder is not woken
+    /// for every edge an awake worker's try-first read consumes anyway.
     fn drive(
         &self,
         slot: &ParkSlot,
         io: &dyn IoDriver,
         backstop: Option<Duration>,
         pending: &impl Fn() -> usize,
-    ) -> bool {
+    ) -> Option<bool> {
         slot.driving.store(true, Ordering::SeqCst);
         let mut delivered = usize::MAX;
         let mut polls = self.role.polls();
@@ -513,11 +524,11 @@ impl ParkGroup {
                 if woken {
                     self.role.hand_on();
                 }
-                return woken;
+                return Some(woken);
             }
             if self.role.polls() != polls && self.role.step_down(Benched::Worker(&slot.parker)) {
                 slot.driving.store(false, Ordering::SeqCst);
-                return self.sleep(slot, backstop, true);
+                return None;
             }
             polls = self.role.polls();
             delivered = io.turn(backstop);
@@ -609,6 +620,7 @@ impl ParkGroup {
     /// on their next park attempt and re-check the stop flag. Call
     /// *after* storing the stop/abandon flag.
     pub fn unpark_all(&self) {
+        self.wakes_all.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         for slot in self.slots.iter() {
             slot.parker.unpark();
