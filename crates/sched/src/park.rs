@@ -538,11 +538,12 @@ impl ParkGroup {
     /// After a token for `slot`: if it sleeps in the reactor's turn
     /// rather than on its parker, end the turn too.
     fn wake_driving(&self, slot: &ParkSlot) {
+        let Some(io) = self.role.io() else {
+            return;
+        };
         fence(Ordering::SeqCst);
         if slot.driving.load(Ordering::SeqCst) {
-            if let Some(io) = self.role.io() {
-                io.wake();
-            }
+            io.wake();
         }
     }
 
