@@ -63,7 +63,7 @@ echo "== tier1: concurrency model check (--cfg lwt_model, bounded)"
 CARGO_TARGET_DIR=target/lwt-model \
     RUSTFLAGS="${RUSTFLAGS:-} --cfg lwt_model" \
     timeout 600 cargo test -q --offline -p lwt-model
-echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park, incl. adaptive with a spent grace budget; the two-sleeper park cases stop at their time cap, not exhaustive + waker + unitpark + waitlist + driver_slot: notify race, hand-on and step-down exhaustive, two sleepers capped, both mutations caught as livelocks)"
+echo "   ok: model suites green (engine + chase_lev + injector + sync + stack cache + park, incl. adaptive with a spent grace budget; the two-sleeper park cases stop at their time cap, not exhaustive + waker + unitpark + waitlist + driver_slot: notify race, hand-on, step-down, taken unit and shutdown-vs-hand-on exhaustive, two sleepers capped, both mutations caught as livelocks)"
 
 echo "== tier1: trace-export smoke (LWT_TRACE=1)"
 # One real microbench run with tracing on must produce a parseable

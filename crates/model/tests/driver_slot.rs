@@ -19,14 +19,21 @@
 //! turn harvests the test's readiness edges; a harvested edge queues
 //! one unit and notifies the group, as a dispatched wake does.
 //!
+//! A woken sleeper stays in `park` only if the hand-on took it off the
+//! bench and `unpark_all` did not reach it: a sleeper a notify woke for
+//! a unit somebody else took leaves through the idle exit, which clears
+//! the handoff, and the finalize sequence's token ends `park` even when
+//! it coalesced with a hand-on's.
+//!
 //! A third ordering is the holder's step-down: after a turn that
 //! brought it nothing while another thread polled, it benches itself —
 //! only if nobody is benched already.
 //!
 //! Coverage, as tier-1's model stage reports it: the notify race, the
-//! hand-on and the step-down are exhaustive; the two-sleeper case stops
-//! at its time cap (capped). Both mutation checks must fail with a
-//! livelock.
+//! hand-on, the step-down, the taken unit and the shutdown racing a
+//! hand-on are exhaustive; the two-sleeper case stops at its time cap
+//! (capped). Both mutation checks
+//! must fail with a livelock.
 //!
 //! Every test builds its own role, reactor and group, so the tests run
 //! in parallel; all three are leaked, well under a kilobyte per
@@ -106,10 +113,22 @@ impl Kernel {
         0
     }
 
-    /// What a worker's re-check counts: queued units, and the stop
-    /// flag, so a park racing the shutdown aborts.
+    /// What a worker's re-check counts: queued units only. The stop flag
+    /// is not work, as in `worker_loop`: a park racing the shutdown must
+    /// end on the finalize sequence's token.
     fn pending(&self) -> usize {
-        self.queued.load(Ordering::SeqCst) + usize::from(self.stop.load(Ordering::SeqCst))
+        self.queued.load(Ordering::SeqCst)
+    }
+
+    /// Take one queued unit, if any: its index.
+    fn take(&self) -> Option<usize> {
+        let queued = self.queued.load(Ordering::SeqCst);
+        (queued > 0
+            && self
+                .queued
+                .compare_exchange(queued, queued - 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok())
+        .then(|| self.taken.fetch_add(1, Ordering::SeqCst))
     }
 
     /// The finalize sequence: stop, then tokens for every slot.
@@ -118,20 +137,16 @@ impl Kernel {
         self.group().unpark_all();
     }
 
-    /// A worker: run units until stopped, parking when dry.
+    /// A worker: run units until stopped, parking when dry. Like
+    /// `worker_loop`, it checks the stop flag before each park.
     fn worker(&self, w: usize, run: impl Fn(usize)) {
         while !self.stop.load(Ordering::SeqCst) {
-            let queued = self.queued.load(Ordering::SeqCst);
-            if queued > 0
-                && self
-                    .queued
-                    .compare_exchange(queued, queued - 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                run(self.taken.fetch_add(1, Ordering::SeqCst));
-                continue;
+            match self.take() {
+                Some(unit) => run(unit),
+                None => {
+                    let _ = self.group().park(w, None, || self.pending());
+                }
             }
-            let _ = self.group().park(w, None, || self.pending());
         }
     }
 }
@@ -336,5 +351,70 @@ fn step_down_then_a_later_edge() {
 #[test]
 fn a_holder_steps_down_only_when_nobody_is_benched() {
     let outcome = checker(90).check(step_down_then_a_later_edge);
+    assert_exhaustive(&outcome);
+}
+
+/// One worker, benched behind a holder outside the group, and a
+/// producer that never parks: it pushes a unit and notifies, takes the
+/// unit back itself if the worker did not beat it there, lets the
+/// outside holder leave (a hand-on to the worker), then pushes and
+/// notifies a second unit, whose runner shuts down. The worker woken
+/// for the first unit may find nothing. Not handed on, it must leave
+/// `park` (the idle exit clears the handoff); handed on, with the two
+/// tokens coalesced or not, it must clear the handoff before it
+/// re-checks and takes the role. Either way a handoff left set would
+/// suppress the second notify and strand the second unit. (Two rules
+/// were caught here as livelocks, each run once by hand and not kept
+/// as a seeded mutant: the one this replaced — stay for any token that
+/// brought no work and was not `unpark_all`'s — and a handed-on
+/// sleeper that does not clear the handoff.)
+fn a_notified_unit_taken_by_a_busy_producer() {
+    adaptive();
+    let (k, role) = world(1, 0, None);
+    role.hold_elsewhere();
+    let worker = thread::spawn(move || {
+        k.worker(0, |unit| {
+            if unit == 1 {
+                k.shut_down();
+            }
+        });
+    });
+    k.queued.fetch_add(1, Ordering::SeqCst);
+    k.group().notify();
+    let _ = k.take();
+    role.hand_over();
+    k.queued.fetch_add(1, Ordering::SeqCst);
+    k.group().notify();
+    worker.join();
+}
+
+/// Exhaustive.
+#[test]
+fn a_notified_unit_taken_by_a_busy_producer_does_not_strand_the_next() {
+    let outcome = checker(45).check(a_notified_unit_taken_by_a_busy_producer);
+    assert_exhaustive(&outcome);
+}
+
+/// One worker, benched behind a holder outside the group. The holder
+/// leaves (a hand-on to the worker) and the finalize sequence runs at
+/// once: the worker may wake once for both tokens. It must leave `park`
+/// and see the stop flag, not take the role and turn for a token it
+/// already spent. (A sleeper that ignores `unpark_all`'s per-slot flag
+/// was caught here as a livelock; that run was made once by hand, it is
+/// not kept as a seeded mutant.)
+fn a_shutdown_racing_a_hand_on() {
+    adaptive();
+    let (k, role) = world(1, 0, None);
+    role.hold_elsewhere();
+    let worker = thread::spawn(move || k.worker(0, |_| {}));
+    role.hand_over();
+    k.shut_down();
+    worker.join();
+}
+
+/// Exhaustive.
+#[test]
+fn a_shutdown_racing_a_hand_on_ends_the_park() {
+    let outcome = checker(45).check(a_shutdown_racing_a_hand_on);
     assert_exhaustive(&outcome);
 }

@@ -95,6 +95,21 @@ impl DriverRole {
         role
     }
 
+    /// A thread outside the model suite's group takes the role, as a
+    /// plain thread blocked on a socket would: the group's sleepers bench.
+    #[cfg(lwt_model)]
+    pub fn hold_elsewhere(&self) {
+        self.held.store(true, Ordering::SeqCst);
+    }
+
+    /// The outside holder of [`DriverRole::hold_elsewhere`] leaves to run
+    /// work: it gives the role up and hands it on.
+    #[cfg(lwt_model)]
+    pub fn hand_over(&self) {
+        self.release();
+        self.hand_on();
+    }
+
     /// Register the reactor; the first registration wins (`true`).
     pub fn set_io(&self, io: &'static dyn IoDriver) -> bool {
         self.io.set(io).is_ok()
@@ -128,8 +143,13 @@ impl DriverRole {
         !held
     }
 
-    pub(crate) fn unbench(&self, me: &Benched) {
-        self.bench.lock().retain(|b| !b.is(me));
+    /// Take `me` off the bench: `false` if it was gone already, which
+    /// only [`DriverRole::hand_on`] does — the explicit hand-on mark.
+    pub(crate) fn unbench(&self, me: &Benched) -> bool {
+        let mut bench = self.bench.lock();
+        let listed = bench.len();
+        bench.retain(|b| !b.is(me));
+        bench.len() < listed
     }
 
     pub(crate) fn release(&self) {
@@ -149,7 +169,8 @@ impl DriverRole {
     }
 
     /// A holder leaves the idle path to run work: if the role is still
-    /// vacant, wake the last sleeper benched to take it over.
+    /// vacant, wake the last sleeper benched to take it over. Popping it
+    /// off the bench is what tells it the wake was a hand-on.
     pub(crate) fn hand_on(&self) {
         #[cfg(lwt_model)]
         if self.no_hand_on {
@@ -302,7 +323,7 @@ mod tests {
         assert_eq!(role.poll(), 0, "no reactor registered");
         assert!(role.take_or_bench(Benched::Thread(holder_waker())));
         assert!(!role.take_or_bench(Benched::Thread(holder_waker())), "held twice");
-        role.unbench(&Benched::Thread(holder_waker()));
+        assert!(role.unbench(&Benched::Thread(holder_waker())), "not benched");
         assert!(role.bench.lock().is_empty());
         role.release();
         assert!(role.take_or_bench(Benched::Thread(holder_waker())), "not released");

@@ -39,7 +39,11 @@
 //! turn instead: it marks its slot *driving*, then fences and re-checks
 //! `pending()` and its token before each turn, while a notifier that
 //! deposits a token fences, reads the mark and wakes the turn — the
-//! same store-buffering pair again.
+//! same store-buffering pair again. A holder that leaves to run work
+//! hands the role on to a benched sleeper; that sleeper stays in `park`
+//! to take it only when the hand-on alone woke it (it was popped off the
+//! bench and `unpark_all` did not reach its slot). Any other wake leaves
+//! through the idle exit, which clears the handoff.
 //!
 //! ## Wait policies (`LWT_WAIT_POLICY`)
 //!
@@ -191,6 +195,9 @@ struct ParkSlot {
     /// The worker sleeps in the reactor's turn, which a token alone
     /// does not end (module docs).
     driving: AtomicBool,
+    /// `unpark_all` reached the slot: its token ends `park` even when it
+    /// coalesced with a hand-on's.
+    woken_all: AtomicBool,
     /// The adaptive grace budget (module docs).
     grace: Grace,
 }
@@ -267,8 +274,6 @@ pub struct ParkGroup {
     handoff: AtomicBool,
     /// The process's driver role (the model suite's own, there).
     role: &'static DriverRole,
-    /// `unpark_all` calls so far: their tokens always end `park`.
-    wakes_all: AtomicUsize,
 }
 
 /// Backstop sleep for `passive`: pure defense in depth, see module
@@ -315,13 +320,13 @@ impl ParkGroup {
                     parker: Parker::new(),
                     announced: AtomicBool::new(false),
                     driving: AtomicBool::new(false),
+                    woken_all: AtomicBool::new(false),
                     grace: Grace::new(budget),
                 })
                 .collect(),
             idle: AtomicUsize::new(0),
             handoff: AtomicBool::new(false),
             role: &crate::io::DRIVER,
-            wakes_all: AtomicUsize::new(0),
         }
     }
 
@@ -451,7 +456,6 @@ impl ParkGroup {
                     break woken;
                 }
             }
-            let wakes_all = self.wakes_all.load(Ordering::SeqCst);
             let woken = match backstop {
                 Some(backstop) => slot.parker.park_timeout(backstop),
                 None => {
@@ -462,11 +466,18 @@ impl ParkGroup {
             if io.is_none() {
                 break woken;
             }
-            self.role.unbench(&me());
-            // A token that brought no work and is not `unpark_all`'s is
-            // most likely a hand-on: take the role, or bench again if
-            // its holder is back already, without leaving `park`.
-            if !woken || pending() > 0 || self.wakes_all.load(Ordering::SeqCst) != wakes_all {
+            // Woken by a hand-on (it took us off the bench) and by
+            // nothing else: take the role, or bench again if its holder
+            // is back already, without leaving `park`. The in-flight
+            // handoff is cleared first, as `exit_idle` does, so that
+            // later notifies reach us and the re-check sees the pushes
+            // of those it suppressed.
+            let handed_on = !self.role.unbench(&me());
+            if !(woken && handed_on) || slot.woken_all.swap(false, Ordering::SeqCst) {
+                break woken;
+            }
+            self.handoff.swap(false, Ordering::AcqRel);
+            if pending() > 0 {
                 break woken;
             }
             driving = self.role.take_or_bench(me());
@@ -621,9 +632,9 @@ impl ParkGroup {
     /// on their next park attempt and re-check the stop flag. Call
     /// *after* storing the stop/abandon flag.
     pub fn unpark_all(&self) {
-        self.wakes_all.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         for slot in self.slots.iter() {
+            slot.woken_all.store(true, Ordering::SeqCst);
             slot.parker.unpark();
             self.wake_driving(slot);
         }
