@@ -272,13 +272,13 @@ cargo test -q --offline --test glt_conformance \
     in_unit_join_of_64_children_suspends_instead_of_yielding >/dev/null
 # And no relax loop may creep back into a work unit's wait: the only
 # AdaptiveRelax users left are plain-OS-thread waits (the spin/yield
-# look before `thread::park` in `lwt_sync::block_thread_on`, an
-# external thread on an Argobots lock), control-plane waits (Converse's
+# look before `thread::park` in `lwt_sync::block_thread_on`),
+# control-plane waits (Converse's
 # processor barrier and quiescence poll, run by the master and the
 # processors' own scheduler loops) and the bounded
 # `GltHandle::join_timeout`.
 RELAX_USERS=$(grep -rln AdaptiveRelax crates/*/src | sort | tr '\n' ' ')
-RELAX_ALLOWED="crates/argobots/src/sync.rs crates/converse/src/lib.rs crates/core/src/glt.rs crates/sync/src/backoff.rs crates/sync/src/lib.rs crates/sync/src/waitlist.rs "
+RELAX_ALLOWED="crates/converse/src/lib.rs crates/core/src/glt.rs crates/sync/src/backoff.rs crates/sync/src/lib.rs crates/sync/src/waitlist.rs "
 grep -rn AdaptiveRelax crates/*/src | grep -v '^crates/sync/src/' | sed 's/^/   /'
 if [ "$RELAX_USERS" != "$RELAX_ALLOWED" ]; then
     echo "FAIL: AdaptiveRelax users changed: $RELAX_USERS" >&2
@@ -287,7 +287,7 @@ if [ "$RELAX_USERS" != "$RELAX_ALLOWED" ]; then
 fi
 echo "   ok: joins suspend on every backend; AdaptiveRelax only in control-plane and bounded waits"
 
-echo "== tier1: one-copy stage (worker loop, lifecycle and task posting exist once)"
+echo "== tier1: one-copy stage (worker loop, lifecycle and task posting exist once; no uncalled backend re-export)"
 # The worker loop, the shutdown ladder and task posting live in
 # lwt_ultcore::engine and nowhere else. Each of these calls is the
 # fingerprint of one of them — the idle and busy reactor polls and the
@@ -355,6 +355,63 @@ if [ "$EPOLL_CALLS" != 1 ] || [ "$(printf '%s\n' "$BLOCKING" | grep -c .)" != 1 
     printf '%s\n' "$BLOCKING" >&2
     exit 1
 fi
+# A backend crate is Table I plus the API that reaches it; anything
+# else it makes public is a second copy waiting to happen. Every name
+# a backend's lib.rs makes public (`pub use`, `pub mod` or a top-level
+# `pub` item) must be named, in a file that names the crate
+# (`lwt_<crate>` or `lwt::<crate>`), outside the crate's own src: in
+# crates/core, crates/microbench, benchmark/src, src, tests or
+# examples. The allow-list below is for names only a backend's own
+# tests or signatures need; each entry cites its DESIGN section.
+python3 - <<'PY'
+import os, re, sys
+
+BACKENDS = ["argobots", "qthreads", "massivethreads", "converse", "gothreads"]
+USERS = ["crates/core", "crates/microbench", "benchmark/src", "src", "tests", "examples"]
+ALLOWED = {
+    "lwt_argobots::UnitState": "DESIGN §12 'One ULT record': the Blocked state home_pool.rs waits for",
+    "lwt_argobots::self_suspend": "DESIGN §12 'One ULT record': the core's suspend under its Argobots name",
+    "lwt_argobots::unit_waker": "DESIGN §12 'One ULT record': the core's waker under its Argobots name",
+    "lwt_go::Sender": "DESIGN §1 Go model: channel-based, out-of-order join (Fig. 3)",
+    "lwt_go::Receiver": "DESIGN §1 Go model: channel-based, out-of-order join (Fig. 3)",
+    "lwt_go::select2": "DESIGN §15 'The same path for joins…': the waiter that leaves a list",
+    "lwt_go::Either": "DESIGN §15 'The same path for joins…': select2's result",
+}
+
+def public_names(lib):
+    src = re.sub(r"//[^\n]*", "", open(lib).read())
+    names = set(re.findall(r"(?m)^pub mod (\w+)", src))
+    names |= set(re.findall(r"(?m)^pub (?:(?:const|unsafe|async) )*"
+                            r"(?:fn|struct|enum|trait|type|const|static|union) (\w+)", src))
+    for body in re.findall(r"(?m)^pub use\s+([^;]+);", src):
+        for piece in re.split(r"[{},]", body):
+            name = piece.split(" as ")[-1].strip().split("::")[-1]
+            if name not in ("", "self", "*"):
+                names.add(name)
+    return names
+
+texts = []
+for root in USERS:
+    for dirpath, _, files in os.walk(root):
+        texts += [open(os.path.join(dirpath, f)).read() for f in files if f.endswith(".rs")]
+uncalled, public = [], set()
+for crate in BACKENDS:
+    manifest = open(f"crates/{crate}/Cargo.toml").read()
+    lib = re.search(r'(?m)^name = "([^"]+)"', manifest).group(1).replace("-", "_")
+    naming = re.compile(rf"\b(?:{lib}|lwt::{lib[len('lwt_'):]})\b")
+    users = [t for t in texts if naming.search(t)]
+    for name in sorted(public_names(f"crates/{crate}/src/lib.rs")):
+        public.add(f"{lib}::{name}")
+        named = re.compile(rf"\b{name}\b")
+        if f"{lib}::{name}" not in ALLOWED and not any(named.search(t) for t in users):
+            uncalled.append(f"{lib}::{name}")
+uncalled += [f"{name} (allow-listed, but not public)" for name in sorted(set(ALLOWED) - public)]
+if uncalled:
+    sys.exit("FAIL: public in a backend crate but named nowhere outside it "
+             "(use it, delete it, or allow-list it with a DESIGN reason):\n  "
+             + "\n  ".join(uncalled))
+print(f"   ok: every backend re-export has an outside user ({len(ALLOWED)} allow-listed)")
+PY
 echo "   ok: one worker loop, one lifecycle, one task-posting path ($ENGINE)"
 echo "   ok: no reactor thread; one blocking epoll_wait (${BLOCKING%%:*})"
 echo "   ok: one ULT record, entry and post-switch protocol ($ULTCORE)"

@@ -39,7 +39,10 @@
 //! hook sends it on every yield and resume. [`yield_now`],
 //! [`self_suspend`], [`unit_waker`], [`in_ult`], [`block_on`] and
 //! [`current_stream`] are the core's functions under their Argobots
-//! names.
+//! names. Argobots' own sync objects (`ABT_mutex`, `ABT_cond`,
+//! `ABT_barrier`, `ABT_eventual`, `ABT_future`) are not modelled: they
+//! are no Table I difference, and `lwt_sync` does those jobs for every
+//! backend.
 //!
 //! ## Example
 //!
@@ -62,17 +65,15 @@
 #![warn(missing_docs)]
 
 mod pool;
-mod sync;
 mod runtime;
 mod sched;
 mod stream;
 mod unit;
 
-pub use pool::{Pool, PoolPolicy};
+pub use pool::PoolPolicy;
 pub use runtime::{Config, Runtime};
-pub use sched::{BasicScheduler, Pick, SchedContext, Scheduler, WorkUnit};
+pub use sched::{Pick, SchedContext, Scheduler, WorkUnit};
 pub use stream::yield_to;
-pub use sync::{AbtBarrier, AbtCond, AbtFuture, AbtMutex, AbtMutexGuard, Eventual};
 pub use unit::{TaskletHandle, UltHandle, UnitState};
 
 pub use lwt_ultcore::{

@@ -219,28 +219,3 @@ impl Requeue for Pools {
     }
 }
 
-/// Public, read-only view of a pool (diagnostics and custom
-/// schedulers).
-pub struct Pool {
-    pub(crate) shared: std::sync::Arc<PoolShared>,
-}
-
-impl Pool {
-    /// Number of queued unit hints (racy; stale entries included).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// Whether the pool currently appears empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool").field("len", &self.len()).finish()
-    }
-}

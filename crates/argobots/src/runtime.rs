@@ -13,7 +13,7 @@ use lwt_ultcore::{
     straggler_table, Crew, DrainError, PollTask, ReadyUnit, ResultCell, TaskHost, UltCore,
 };
 
-use crate::pool::{Pool, PoolPolicy, PoolShared, Pools};
+use crate::pool::{PoolPolicy, PoolShared, Pools};
 use crate::sched::Scheduler;
 use crate::stream::{es_main, StreamShared};
 use crate::unit::{TaskletHandle, TaskletInner, UltHandle, Unit};
@@ -139,16 +139,6 @@ impl Runtime {
     #[must_use]
     pub fn num_streams(&self) -> usize {
         self.inner.streams.lock().len()
-    }
-
-    /// Read-only views of all pools.
-    #[must_use]
-    pub fn pools(&self) -> Vec<Pool> {
-        self.inner
-            .pools
-            .iter()
-            .map(|p| Pool { shared: p.clone() })
-            .collect()
     }
 
     /// Stack a custom scheduler on stream `stream`

@@ -107,16 +107,8 @@ pub trait Scheduler: Send + 'static {
 /// Matches the basic FIFO scheduler Argobots attaches to each pool by
 /// default.
 #[derive(Debug, Default)]
-pub struct BasicScheduler {
+pub(crate) struct BasicScheduler {
     cursor: usize,
-}
-
-impl BasicScheduler {
-    /// A fresh basic scheduler.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 impl Scheduler for BasicScheduler {

@@ -97,7 +97,7 @@ pub(crate) fn es_main(shared: &StreamShared) {
         ctx: SchedContext {
             pools: shared.pools.clone(),
         },
-        scheds: vec![Box::new(BasicScheduler::new())],
+        scheds: vec![Box::<BasicScheduler>::default()],
     };
     worker_loop(&shared.ctl, shared.id, "argobots", stream);
 }

@@ -27,7 +27,9 @@
 //! The processors run the shared worker loop and lifecycle
 //! (`lwt_ultcore::engine`) over their own queues; this crate is the
 //! message/ULT API and a policy — own queue only, no stealing, and a
-//! pending barrier episode served whenever the queue runs dry.
+//! pending barrier episode served whenever the queue runs dry. The
+//! Charm++ layer above Converse (chares, entry methods) is not
+//! modelled: a chare call is a message plus an `lwt_sync::Event`.
 //!
 //! ## Example
 //!
@@ -50,10 +52,6 @@
 //! ```
 
 #![warn(missing_docs)]
-
-mod chare;
-
-pub use chare::Chare;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

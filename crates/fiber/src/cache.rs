@@ -234,22 +234,6 @@ pub fn purge() {
     global_lock().clear();
 }
 
-/// Number of stacks currently cached on this thread (all size
-/// classes). Diagnostic.
-#[must_use]
-pub fn local_len() -> usize {
-    LOCAL
-        .try_with(|l| l.0.borrow().iter().map(|(_, v)| v.len()).sum())
-        .unwrap_or(0)
-}
-
-/// Number of stacks currently in the global overflow pool (all size
-/// classes). Diagnostic.
-#[must_use]
-pub fn global_len() -> usize {
-    global_lock().iter().map(|(_, v)| v.len()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,6 +245,16 @@ mod tests {
 
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Stacks cached on this thread, all size classes.
+    fn local_len() -> usize {
+        LOCAL.with(|l| l.0.borrow().iter().map(|(_, v)| v.len()).sum())
+    }
+
+    /// Stacks in the global overflow pool, all size classes.
+    fn global_len() -> usize {
+        global_lock().iter().map(|(_, v)| v.len()).sum()
     }
 
     #[test]

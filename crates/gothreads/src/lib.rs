@@ -204,14 +204,6 @@ impl Runtime {
         (Sender { ch: ch.clone() }, Receiver { ch })
     }
 
-    /// Create an unbuffered-in-spirit unbounded channel (for cases
-    /// where Go code would size the channel to the workload).
-    #[must_use]
-    pub fn channel_unbounded<T>(&self) -> (Sender<T>, Receiver<T>) {
-        let ch = Arc::new(Channel::unbounded());
-        (Sender { ch: ch.clone() }, Receiver { ch })
-    }
-
     /// Stop scheduler threads and join them. Idempotent; also what
     /// dropping the last clone does.
     ///

@@ -59,12 +59,6 @@ fn init_from_env() -> bool {
     ENABLED.load(Ordering::Relaxed) == 2
 }
 
-/// Programmatically arm or disarm the recorder; overrides
-/// `LWT_FLIGHTREC`.
-pub fn set_flightrec(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
 type SectionFn = Box<dyn Fn() -> String + Send>;
 
 /// Named bundle sections contributed by higher layers. Each provider

@@ -497,19 +497,6 @@ pub fn serve(
     serve_config(glt, listener, ServerConfig::from_env(), Arc::new(handler))
 }
 
-/// [`serve`] with explicit parser limits (env knobs for everything
-/// else).
-pub fn serve_with(
-    glt: &Glt,
-    listener: TcpListener,
-    limits: Limits,
-    handler: Handler,
-) -> io::Result<ServerHandle> {
-    let mut config = ServerConfig::from_env();
-    config.limits = limits;
-    serve_config(glt, listener, config, handler)
-}
-
 /// [`serve`] with a fully explicit [`ServerConfig`] (no env reads).
 pub fn serve_config(
     glt: &Glt,

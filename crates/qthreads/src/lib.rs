@@ -26,7 +26,10 @@
 //! The workers run the shared worker engine (`lwt_ultcore::engine`:
 //! loop, lifecycle, queues); this crate is the fork API, the FEB join
 //! handle and a policy — steal from the siblings of the same shepherd
-//! only.
+//! only. Qthreads' distributed structures (`qt_sinc`, `qt_dictionary`,
+//! `qt_queue`) and `qutil` are not modelled: they are no Table I
+//! difference, and `lwt_sync` plus the loop helpers above do those
+//! jobs.
 //!
 //! ## Example
 //!
@@ -43,9 +46,6 @@
 
 #![warn(missing_docs)]
 
-pub mod qutil;
-pub mod structures;
-
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -59,7 +59,6 @@ use lwt_ultcore::{
     UltCore,
 };
 
-pub use lwt_sync::FebTable as Feb;
 pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
 
 /// Runtime configuration (`qthread_initialize` environment).

@@ -36,12 +36,6 @@ impl<T> SharedQueue<T> {
         self.inner.lock().push_back(value);
     }
 
-    /// Enqueue a whole batch under a single lock acquisition.
-    pub fn push_batch(&self, values: impl IntoIterator<Item = T>) {
-        let mut q = self.inner.lock();
-        q.extend(values);
-    }
-
     /// Dequeue from the front.
     pub fn pop(&self) -> Option<T> {
         self.inner.lock().pop_front()
@@ -85,16 +79,6 @@ mod tests {
         }
         let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batch_push_is_in_order() {
-        let q = SharedQueue::new();
-        q.push(0);
-        q.push_batch(1..4);
-        assert_eq!(q.len(), 4);
-        assert_eq!(std::iter::from_fn(|| q.pop()).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        assert!(q.is_empty());
     }
 
     #[test]

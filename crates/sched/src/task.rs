@@ -147,12 +147,6 @@ impl TaskState {
     pub fn complete(&self) {
         self.state.store(COMPLETE, Release);
     }
-
-    /// Whether the task has reached its terminal state.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.state.load(Acquire) == COMPLETE
-    }
 }
 
 /// Unit is running (or queued); no wake is pending.
@@ -260,7 +254,6 @@ mod tests {
         assert_eq!(s.on_wake(), WakeAction::AlreadyQueued);
         assert!(s.begin_poll());
         s.complete();
-        assert!(s.is_complete());
         assert_eq!(s.on_wake(), WakeAction::Complete);
     }
 

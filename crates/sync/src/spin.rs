@@ -83,12 +83,6 @@ impl<T: ?Sized> SpinLock<T> {
         }
     }
 
-    /// Whether the lock is currently held (racy; diagnostics only).
-    #[must_use]
-    pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
-
     /// Access the value mutably without locking (requires `&mut self`,
     /// so exclusivity is statically guaranteed).
     pub fn get_mut(&mut self) -> &mut T {
@@ -155,7 +149,6 @@ mod tests {
         let lock = SpinLock::new(());
         let g = lock.try_lock().unwrap();
         assert!(lock.try_lock().is_none());
-        assert!(lock.is_locked());
         drop(g);
         assert!(lock.try_lock().is_some());
     }

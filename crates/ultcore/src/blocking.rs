@@ -9,8 +9,8 @@
 //! machine resource, not a per-runtime one): submitters push jobs into
 //! an [`Injector`] inbox and wake one parked thread ([`Parker`], the
 //! same one-token primitive `lwt_sched::ParkGroup` is built from), or
-//! grow the pool while under [`max_threads`]. Idle threads park
-//! indefinitely — they cost a stack, not a core.
+//! grow the pool while under its ceiling ([`set_max_threads`]). Idle
+//! threads park indefinitely — they cost a stack, not a core.
 //!
 //! The handoff is lost-wake-safe by a re-check, mirroring ParkGroup's
 //! contract: a worker going idle registers its parker *then* re-checks
@@ -93,23 +93,12 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Current growth ceiling of the pool.
-#[must_use]
-pub fn max_threads() -> usize {
-    pool().max.load(Ordering::Relaxed)
-}
-
 /// Override the pool's growth ceiling (the `.blocking_threads(max)`
 /// builder knob lands here). Process-global, like the stack cache and
 /// wait policy: the pool outlives any single runtime instance.
 /// Shrinking below the live count stops growth but retires nothing.
 pub fn set_max_threads(max: usize) {
     pool().max.store(max, Ordering::Relaxed);
-}
-
-/// Re-read `LWT_BLOCKING_THREADS` (tests that mutate the environment).
-pub fn reset_max_threads_to_env() {
-    set_max_threads(env_max());
 }
 
 fn worker_loop(me: &Arc<Parker>) {
@@ -222,7 +211,6 @@ mod tests {
 
     #[test]
     fn jobs_run_and_pool_reuses_parked_threads() {
-        reset_max_threads_to_env();
         let hits = Arc::new(AtomicUsize::new(0));
         for round in 0..3 {
             let done = Arc::new(lwt_sync::Event::new());
@@ -245,12 +233,11 @@ mod tests {
         }
         assert_eq!(hits.load(Ordering::Relaxed), 48);
         // The pool never grew past its ceiling.
-        assert!(pool().live.load(Ordering::Relaxed) <= max_threads());
+        assert!(pool().live.load(Ordering::Relaxed) <= pool().max.load(Ordering::Relaxed));
     }
 
     #[test]
     fn blocking_jobs_overlap_beyond_one_thread() {
-        reset_max_threads_to_env();
         // Two jobs that each wait for the other: only completable if
         // the pool runs them on distinct OS threads.
         let a = Arc::new(lwt_sync::Event::new());
@@ -273,7 +260,6 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_the_pool() {
-        reset_max_threads_to_env();
         submit(|| panic!("blocking boom")).unwrap();
         let done = Arc::new(lwt_sync::Event::new());
         let d = done.clone();

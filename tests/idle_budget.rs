@@ -6,8 +6,8 @@
 //!   the budget decays to 0 and a request costs a few grace yields at
 //!   most, where a fixed window spent 32 per request;
 //! * **recovery** — closed-loop load on the same connection afterwards
-//!   restores the budget: workers poll the reactor again, and the
-//!   driver thread stays out of the request path;
+//!   restores the budget: workers poll the reactor again, so no worker
+//!   sleeps in the driver role's blocking `epoll_wait` per request;
 //! * **fine-grain guard** — on one CPU, fork/join regions of
 //!   grain-zero ULTs keep every window paying off: workers do not park.
 //!

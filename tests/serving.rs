@@ -261,12 +261,13 @@ fn http_keepalive_roundtrips_every_backend() {
     }
 }
 
-/// Who harvests a keep-alive request's readiness: while a worker polls
-/// the reactor, the driver thread steps aside, so closed-loop requests
-/// cost it (almost) no `epoll_wait` returns — about one per request
-/// when the driver harvested every edge itself. And once the load
-/// stops and both workers sleep, the driver has the role back: one
-/// more request still completes.
+/// Who harvests a keep-alive request's readiness: under closed-loop
+/// load the workers stay awake and poll the reactor themselves, so
+/// nobody sleeps in the driver role and requests cost (almost) no
+/// blocking `epoll_wait` returns — about one per request if a role
+/// holder harvested every edge. And once the load stops and both
+/// workers sleep, one of them holds the role: one more request still
+/// completes.
 #[test]
 fn keepalive_edges_are_harvested_without_the_driver_every_backend() {
     if !isolated("keepalive_edges_are_harvested_without_the_driver_every_backend") {
