@@ -313,10 +313,9 @@ if [ -n "$COPIES" ]; then
 fi
 # The same for the ULT record: every backend's ULT is an UltCore, so
 # bootstrapping a context, the final switch off a dying stack, the ULT
-# entry, the post-switch protocol and a unit's `Wake` impl each live
-# only in lwt-ultcore (lwt-fiber, below it, defines the switch itself;
-# the one other `Wake` is lwt-sync's OS-thread waker). And the GLT
-# layer probes one ULT context, not a second one for Argobots.
+# entry, the post-switch protocol and a unit's waker each live only in
+# lwt-ultcore (lwt-fiber, below it, defines the switch itself). And the
+# GLT layer probes one ULT context, not a second one for Argobots.
 ULTCORE="crates/ultcore/src/lib.rs"
 for call in 'init_context(' 'switch_final('; do
     CALLERS=$(grep -rlF "$call" crates/*/src | grep -v '^crates/fiber/src/' | sort | tr '\n' ' ')
@@ -325,9 +324,8 @@ for call in 'init_context(' 'switch_final('; do
         exit 1
     fi
 done
-for def in 'fn ult_entry' 'fn process_post' 'impl (std::task::)?Wake for'; do
-    DEFS=$(grep -rnE "$def" crates/*/src | grep -v 'Wake for ThreadUnpark ' \
-        | cut -d: -f1 | sort -u | tr '\n' ' ')
+for def in 'fn ult_entry' 'fn process_post' 'fn unit_waker'; do
+    DEFS=$(grep -rnE "$def" crates/*/src | cut -d: -f1 | sort -u | tr '\n' ' ')
     if [ "$DEFS" != "$ULTCORE " ]; then
         echo "FAIL: \`$def\` matches in: $DEFS (allowed: $ULTCORE)" >&2
         exit 1
@@ -337,6 +335,34 @@ if grep -rnE 'lwt_argobots::(in_ult|yield_now|block_on)' crates/core/src; then
     echo "FAIL: lwt-core probes a second ULT context" >&2
     exit 1
 fi
+# And a ULT is one allocation with one join handle (DESIGN.md §9): its
+# closure and result live in the record (`lwt_ultcore::Work`), so no
+# side result slot may come back, no backend may wrap `Arc<UltCore>` in
+# a join handle of its own, and no GLT ULT arm may allocate a second
+# completion record (an `EventSlot`) beside its unit.
+python3 - <<'PY'
+import glob, re, sys
+
+bad = []
+for path in sorted(p for root in ("crates", "src", "tests", "examples")
+                   for p in glob.glob(f"{root}/**/*.rs", recursive=True)):
+    src = open(path).read()
+    if re.search(r"\b(?:struct|enum|type|union)\s+ResultCell\b", src):
+        bad.append(f"{path}: defines ResultCell")
+    if re.match(r"crates/(argobots|qthreads|massivethreads|converse|gothreads)/src/", path):
+        for m in re.finditer(r"(?s)\bstruct\s+(\w+)[^;{]*\{([^}]*)\}", src):
+            if re.search(r"Arc<\s*UltCore\b", m.group(2)):
+                bad.append(f"{path}: struct {m.group(1)} wraps Arc<UltCore> (a second join handle)")
+glt = open("crates/core/src/glt.rs").read()
+for name in ("ult_create", "ult_create_to"):
+    m = re.search(rf"(?s)\n    pub fn {name}\b.*?(?=\n    (?:pub )?fn |\n}}\n)", glt)
+    if m is None:
+        bad.append(f"crates/core/src/glt.rs: fn {name} not found")
+    elif "EventSlot" in m.group(0):
+        bad.append(f"crates/core/src/glt.rs: Glt::{name} allocates an EventSlot")
+if bad:
+    sys.exit("FAIL: a ULT is one allocation with one join handle:\n  " + "\n  ".join(bad))
+PY
 # The reactor is a role, not a thread (DESIGN.md §15): the driver
 # thread and its step-aside protocol must not come back, and exactly
 # one place may block in epoll_wait — the role holder's turn. Every
@@ -372,6 +398,8 @@ ALLOWED = {
     "lwt_argobots::UnitState": "DESIGN §12 'One ULT record': the Blocked state home_pool.rs waits for",
     "lwt_argobots::self_suspend": "DESIGN §12 'One ULT record': the core's suspend under its Argobots name",
     "lwt_argobots::unit_waker": "DESIGN §12 'One ULT record': the core's waker under its Argobots name",
+    "lwt_argobots::UltExt": "DESIGN §9 'Fallible join': ABT_thread_get_state/resume on the shared handle, which home_pool.rs uses",
+    "lwt_converse::awaken": "DESIGN §9 'Fallible join': CthAwaken on the shared handle, which the crate's suspend test uses",
     "lwt_go::Sender": "DESIGN §1 Go model: channel-based, out-of-order join (Fig. 3)",
     "lwt_go::Receiver": "DESIGN §1 Go model: channel-based, out-of-order join (Fig. 3)",
     "lwt_go::select2": "DESIGN §15 'The same path for joins…': the waiter that leaves a list",
@@ -415,6 +443,7 @@ PY
 echo "   ok: one worker loop, one lifecycle, one task-posting path ($ENGINE)"
 echo "   ok: no reactor thread; one blocking epoll_wait (${BLOCKING%%:*})"
 echo "   ok: one ULT record, entry and post-switch protocol ($ULTCORE)"
+echo "   ok: one ULT allocation and one join handle: no ResultCell, no backend handle around Arc<UltCore>, no EventSlot in a GLT ULT arm"
 
 echo "== tier1: spawn-path smoke (fig2_create vs committed baseline)"
 # One quick fig2_create bench run; the spawn path must not regress

@@ -74,9 +74,9 @@ pub use pool::PoolPolicy;
 pub use runtime::{Config, Runtime};
 pub use sched::{Pick, SchedContext, Scheduler, WorkUnit};
 pub use stream::yield_to;
-pub use unit::{TaskletHandle, UltHandle, UnitState};
+pub use unit::{TaskletHandle, UltExt, UnitState};
 
 pub use lwt_ultcore::{
     block_on, current_worker as current_stream, in_ult, suspend as self_suspend, unit_waker,
-    yield_now, JoinError,
+    yield_now, Handle, JoinError,
 };

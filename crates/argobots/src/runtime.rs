@@ -1,7 +1,6 @@
 //! Runtime lifecycle and work-unit creation APIs.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lwt_fiber::StackSize;
@@ -9,14 +8,12 @@ use lwt_metrics::registry::{emit, timestamp_if_tracing, COUNTERS};
 use lwt_metrics::EventKind;
 use lwt_sync::SpinLock;
 use lwt_ultcore::state::READY;
-use lwt_ultcore::{
-    straggler_table, Crew, DrainError, PollTask, ReadyUnit, ResultCell, TaskHost, UltCore,
-};
+use lwt_ultcore::{straggler_table, Crew, DrainError, Handle, PollTask, ReadyUnit, TaskHost, Work};
 
 use crate::pool::{PoolPolicy, PoolShared, Pools};
 use crate::sched::Scheduler;
 use crate::stream::{es_main, StreamShared};
-use crate::unit::{TaskletHandle, TaskletInner, UltHandle, Unit};
+use crate::unit::{Tasklet, TaskletHandle, Unit};
 
 /// Runtime configuration (`ABT_init` parameters).
 #[derive(Debug, Clone)]
@@ -167,7 +164,7 @@ impl Runtime {
 
     /// Create a ULT (`ABT_thread_create`), dispatched round-robin under
     /// the private pool policy.
-    pub fn ult_create<T, F>(&self, f: F) -> UltHandle<T>
+    pub fn ult_create<T, F>(&self, f: F) -> Handle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
@@ -181,7 +178,7 @@ impl Runtime {
     /// # Panics
     ///
     /// Panics if `stream` is out of range.
-    pub fn ult_create_to<T, F>(&self, stream: usize, f: F) -> UltHandle<T>
+    pub fn ult_create_to<T, F>(&self, stream: usize, f: F) -> Handle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
@@ -191,24 +188,18 @@ impl Runtime {
 
     /// The ULT belongs to pool `home` for life: its yields and resumes
     /// send it back there ([`Pools`]' requeue hook).
-    fn ult_create_in<T, F>(&self, home: usize, f: F) -> UltHandle<T>
+    fn ult_create_in<T, F>(&self, home: usize, f: F) -> Handle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let result = ResultCell::new();
-        let slot = result.clone();
-        let ult = UltCore::with_home(self.inner.stack_size, home, move || {
-            let value = f();
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
-        });
+        let ult = Handle::spawn_with(self.inner.stack_size, home, (), f);
         emit(EventKind::UltSpawn, 0);
         self.inner
             .pools
             .get(home)
-            .push(Unit::Ready(ult.clone().into()));
-        UltHandle { ult, result }
+            .push(Unit::Ready(ult.unit().into()));
+        ult
     }
 
     /// Create a tasklet (`ABT_task_create`): a stackless work unit that
@@ -241,29 +232,24 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let result = ResultCell::new();
-        let slot = result.clone();
-        let entry: Box<dyn FnOnce() + Send> = Box::new(move || {
-            let value = f();
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
-        });
         COUNTERS.tasklets_created.inc();
         // arg = 1 distinguishes tasklet spawns from ULT spawns.
         emit(EventKind::UltSpawn, 1);
-        let inner = Arc::new(TaskletInner {
+        let inner = Arc::new(Tasklet {
             state: AtomicU8::new(READY),
-            entry: UnsafeCell::new(Some(entry)),
-            panic: UnsafeCell::new(None),
             joiners: lwt_sync::WaitList::new(),
-            spawn_ns: std::sync::atomic::AtomicU64::new(timestamp_if_tracing()),
+            spawn_ns: AtomicU64::new(timestamp_if_tracing()),
             span: lwt_metrics::span::on_spawn(),
+            body: Work::new(f, ()),
         });
         self.inner
             .pools
             .get(pool)
             .push(Unit::Tasklet(inner.clone()));
-        TaskletHandle { inner, result }
+        TaskletHandle {
+            inner,
+            result: std::marker::PhantomData,
+        }
     }
 
     /// Stop every stream and join their OS threads (`ABT_finalize`).

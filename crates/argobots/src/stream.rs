@@ -7,7 +7,6 @@
 //! goes — back to its home pool, through the runtime's [`Pools`] hook —
 //! the tasklet arm of `execute`, and the scheduler stack in `next`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -15,11 +14,11 @@ use lwt_metrics::registry::{emit, record_spawn_latency};
 use lwt_metrics::{span, timeline, EventKind};
 use lwt_sync::SpinLock;
 use lwt_ultcore::state::TERMINATED;
-use lwt_ultcore::{enter_worker, run_unit, worker_loop, yield_now, Control, Policy};
+use lwt_ultcore::{enter_worker, run_unit, worker_loop, yield_now, Control, Handle, Policy};
 
 use crate::pool::{PoolShared, Pools};
 use crate::sched::{BasicScheduler, Pick, SchedContext, Scheduler};
-use crate::unit::{UltHandle, Unit};
+use crate::unit::Unit;
 
 /// Shared state of one execution stream.
 pub(crate) struct StreamShared {
@@ -120,12 +119,8 @@ fn execute(unit: Unit) {
                 span::set_current(t.span);
             }
             emit(EventKind::TaskletExec, 0);
-            // SAFETY: the claim grants exclusive access to `entry`.
-            let f = unsafe { (*t.entry.get()).take().expect("tasklet entry missing") };
-            if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
-                // SAFETY: still exclusive until TERMINATED is published.
-                unsafe { *t.panic.get() = Some(p) };
-            }
+            // SAFETY: the claim grants exclusive access, once.
+            unsafe { t.body.run() };
             span::on_complete(t.span);
             if t.span != 0 {
                 span::set_current(span::NO_SPAN);
@@ -148,8 +143,8 @@ fn execute(unit: Unit) {
 /// # Panics
 ///
 /// Panics when called outside a ULT.
-pub fn yield_to<T>(target: &UltHandle<T>) {
-    if !lwt_ultcore::yield_to(&target.ult) && !target.ult.is_terminated() {
+pub fn yield_to<T>(target: &Handle<T>) {
+    if !lwt_ultcore::yield_to(&target.unit()) && !target.is_finished() {
         yield_now();
     }
 }

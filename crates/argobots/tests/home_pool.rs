@@ -11,7 +11,7 @@ use std::task::Waker;
 
 use lwt_argobots::{
     current_stream, self_suspend, unit_waker, yield_now, yield_to, Config, Pick, PoolPolicy,
-    Runtime, SchedContext, Scheduler, UltHandle, UnitState,
+    Handle, Runtime, SchedContext, Scheduler, UltExt, UnitState,
 };
 use lwt_fiber::StackSize;
 use lwt_metrics::registry::COUNTERS;
@@ -81,7 +81,7 @@ fn a_cross_pool_yield_to_target_yields_back_to_its_home_pool() {
         // Back on stream 0: the target ran here and then yielded.
         target
     });
-    let target: UltHandle<()> = caller.join();
+    let target: Handle<()> = caller.join();
     let held = (seen.lock().unwrap().clone(), target.state());
     // Open before asserting: a failing test must not leave stream 1
     // gated with work queued, or dropping the runtime would hang.
@@ -100,7 +100,7 @@ fn suspend_once(
     rt: &Runtime,
     go: &Arc<AtomicBool>,
     waker: &Arc<Mutex<Option<Waker>>>,
-) -> UltHandle<(Option<usize>, Option<usize>)> {
+) -> Handle<(Option<usize>, Option<usize>)> {
     let (go, slot) = (go.clone(), waker.clone());
     rt.ult_create_to(1, move || {
         let before = current_stream();

@@ -9,7 +9,8 @@
 //!   any number of senders, one consumer — exactly the shape the
 //!   insertion rule below prescribes, with no lock on the pop path.
 //! * **Two work-unit types**: stackful **ULTs** (`CthThread`,
-//!   [`Runtime::spawn_ult`]) and stackless **Messages** (
+//!   [`Runtime::spawn_ult`], or [`Runtime::send_ult`] from anywhere)
+//!   and stackless **Messages** (
 //!   [`Runtime::send`]) that "are executed atomically" and serve as the
 //!   inter-processor communication *and* synchronization mechanism.
 //! * **The insertion rule** the paper highlights: "each thread has its
@@ -17,7 +18,9 @@
 //!   their execution, into other thread's queues**". Accordingly,
 //!   [`Runtime::send`]/[`Runtime::send_rr`] (messages) accept any
 //!   caller, while [`Runtime::spawn_ult`] is only callable *from a
-//!   processor* and lands on that processor's own queue.
+//!   processor* and lands on that processor's own queue. A ULT made
+//!   elsewhere ([`Runtime::send_ult`]) travels inside a message, which
+//!   enqueues it on the processor that runs it.
 //! * **Barrier-based join** ([`Runtime::barrier`]) in the Converse
 //!   *return mode*: the master dispatches messages round-robin and then
 //!   waits for global quiescence at a barrier all processors
@@ -63,18 +66,26 @@ use lwt_sched::{Injector, RoundRobin};
 use lwt_sync::SenseBarrier;
 use lwt_ultcore::{
     enter_worker, may_exit, run_ult, straggler_table, worker_loop, Control, Crew, DrainError,
-    Policy, PollTask, Requeue, ResultCell, TaskHost, UltCore,
+    Handle, Policy, PollTask, Requeue, TaskHost, UltCore,
 };
 
 pub use lwt_ultcore::{current_worker as current_processor, in_ult, yield_now, JoinError};
 
-/// Park the calling ULT until [`UltHandle::awaken`] (`CthSuspend`).
+/// Park the calling ULT until [`awaken`] (`CthSuspend`).
 ///
 /// # Panics
 ///
 /// Panics when called outside a ULT (messages cannot suspend).
 pub fn suspend() {
     lwt_ultcore::suspend();
+}
+
+/// Resume a [`suspend`]ed ULT on its own processor (`CthAwaken`) —
+/// Converse ULTs never migrate, so the processor it suspended on is the
+/// one that created it. A wake that overtakes the suspend is
+/// remembered. Returns `false` once the ULT has terminated.
+pub fn awaken<T>(ult: &Handle<T>) -> bool {
+    lwt_ultcore::awaken(&ult.unit())
 }
 
 /// Runtime configuration (`ConverseInit`).
@@ -144,68 +155,6 @@ pub struct Runtime {
     inner: Arc<RtInner>,
 }
 
-/// Handle to a ULT created with [`Runtime::spawn_ult`].
-pub struct UltHandle<T> {
-    ult: Arc<UltCore>,
-    result: Arc<ResultCell<T>>,
-}
-
-impl<T> UltHandle<T> {
-    /// Wait for completion (suspended when inside a ULT) and take the
-    /// result, surfacing an escaped panic as a [`JoinError`] instead of
-    /// re-raising it.
-    ///
-    /// Must be called from a ULT or an external thread — **never from
-    /// a message**: messages execute atomically on their processor's
-    /// scheduler stack, so blocking in one wedges the processor (the
-    /// same rule as in C Converse). Prefer [`Runtime::barrier`] for
-    /// message-fanout joins.
-    ///
-    /// # Errors
-    ///
-    /// [`JoinError`] carrying the panic payload.
-    pub fn try_join(self) -> Result<T, JoinError> {
-        self.ult.join_wait();
-        lwt_metrics::span::on_join(self.ult.span_id());
-        if let Some(p) = self.ult.take_panic() {
-            return Err(JoinError::new(p));
-        }
-        // SAFETY: TERMINATED observed; sole joiner.
-        Ok(unsafe { self.result.take() }.expect("converse ULT result missing"))
-    }
-
-    /// Wait for completion and take the result.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic that escaped the ULT's closure.
-    pub fn join(self) -> T {
-        self.try_join().unwrap_or_else(|e| e.resume())
-    }
-
-    /// Non-consuming completion test.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.ult.is_terminated()
-    }
-
-    /// Resume a [`suspend`]ed ULT on its own processor (`CthAwaken`) —
-    /// Converse ULTs never migrate, so the processor it suspended on is
-    /// the one that created it. A wake that overtakes the suspend is
-    /// remembered. Returns `false` once the ULT has terminated.
-    pub fn awaken(&self) -> bool {
-        lwt_ultcore::awaken(&self.ult)
-    }
-}
-
-impl<T> std::fmt::Debug for UltHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("converse::UltHandle")
-            .field("finished", &self.is_finished())
-            .finish()
-    }
-}
-
 impl Runtime {
     /// Start the processors (`ConverseInit`).
     ///
@@ -257,16 +206,6 @@ impl Runtime {
         self.inner.procs.queues.len()
     }
 
-    /// Count `unit` as outstanding and queue it on processor `proc`.
-    fn enqueue(&self, proc: usize, unit: ConvUnit) {
-        let procs = &self.inner.procs;
-        procs.outstanding.fetch_add(1, Ordering::AcqRel);
-        procs.queues[proc].push(unit);
-        // Push first, then wake the owner if it is parked (see
-        // ParkGroup docs for why this order prevents lost wakes).
-        procs.ctl.park.notify_worker(proc);
-    }
-
     /// Send a message to a specific processor's queue (`CmiSyncSend`).
     /// Messages run atomically: no yield, no suspension.
     ///
@@ -277,7 +216,7 @@ impl Runtime {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.enqueue(proc, ConvUnit::Message(Box::new(f)));
+        self.inner.procs.enqueue(proc, ConvUnit::Message(Box::new(f)));
     }
 
     /// Send a message with round-robin processor selection — the
@@ -291,30 +230,19 @@ impl Runtime {
 
     /// Create a ULT on the *calling* processor's queue (`CthCreate`).
     ///
+    /// Join its handle from a ULT or an external thread — **never from
+    /// a message**: messages execute atomically on their processor's
+    /// scheduler stack, so blocking in one wedges the processor (the
+    /// same rule as in C Converse). Prefer [`Runtime::barrier`] for
+    /// message-fanout joins.
+    ///
     /// # Panics
     ///
     /// Panics when called from outside a processor — per the paper,
     /// "only messages can be inserted … into other thread's queues",
-    /// so external threads must use [`Runtime::send`].
-    pub fn spawn_ult<T, F>(&self, f: F) -> UltHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.spawn_ult_spanned(lwt_metrics::span::on_spawn(), f)
-    }
-
-    /// [`Runtime::spawn_ult`] adopting an already-allocated causal span
-    /// instead of recording a fresh spawn edge — for two-stage spawns
-    /// where the causal parent lives on the thread that *sent* the
-    /// bootstrap message, not the processor executing it (the unified
-    /// API's `GLT_ult_create` path). Pass `0` to run span-less.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called from outside a processor, like
-    /// [`Runtime::spawn_ult`].
-    pub fn spawn_ult_spanned<T, F>(&self, span: u64, f: F) -> UltHandle<T>
+    /// so external threads must use [`Runtime::send`] (or
+    /// [`Runtime::send_ult`]).
+    pub fn spawn_ult<T, F>(&self, f: F) -> Handle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
@@ -323,16 +251,40 @@ impl Runtime {
             "CthCreate outside a processor: only messages may enter another \
              processor's queue",
         );
-        let result = ResultCell::new();
-        let slot = result.clone();
-        let ult = UltCore::with_span(self.inner.procs.stack_size, span, move || {
-            let value = f();
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
-        });
+        let ult = Handle::spawn(self.inner.procs.stack_size, f);
         emit(EventKind::UltSpawn, proc as u64);
-        self.enqueue(proc, ConvUnit::Ult(ult.clone()));
-        UltHandle { ult, result }
+        self.inner.procs.enqueue(proc, ConvUnit::Ult(ult.unit()));
+        ult
+    }
+
+    /// Create a ULT from anywhere and run it on processor `proc`: the
+    /// ULT is made here, where its causal parent runs, but only a
+    /// message crosses to `proc` — the insertion rule — and, executing
+    /// there, puts the ULT on its own processor's queue, as a
+    /// [`Runtime::spawn_ult`] inside it would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc` is out of range.
+    pub fn send_ult<T, F>(&self, proc: usize, f: F) -> Handle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let ult = Handle::spawn(self.inner.procs.stack_size, f);
+        emit(EventKind::UltSpawn, proc as u64);
+        let (procs, unit) = (self.inner.procs.clone(), ult.unit());
+        self.send(proc, move || procs.enqueue(proc, ConvUnit::Ult(unit)));
+        ult
+    }
+
+    /// [`Runtime::send_ult`] to the next processor in round-robin order.
+    pub fn send_ult_rr<T, F>(&self, f: F) -> Handle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        self.send_ult(self.inner.procs.rr.next(), f)
     }
 
     /// Return-mode join: wait until every queued work unit (including
@@ -415,11 +367,20 @@ impl TaskHost for Runtime {
             Some(p) if p < self.num_processors() => p,
             _ => self.inner.procs.rr.next(),
         });
-        self.enqueue(proc, ConvUnit::Task(task));
+        self.inner.procs.enqueue(proc, ConvUnit::Task(task));
     }
 }
 
 impl Procs {
+    /// Count `unit` as outstanding and queue it on processor `proc`.
+    fn enqueue(&self, proc: usize, unit: ConvUnit) {
+        self.outstanding.fetch_add(1, Ordering::AcqRel);
+        self.queues[proc].push(unit);
+        // Push first, then wake the owner if it is parked (see
+        // ParkGroup docs for why this order prevents lost wakes).
+        self.ctl.park.notify_worker(proc);
+    }
+
     /// One work unit retired. Quiescence is a wake condition: the
     /// processors that found a barrier requested but work outstanding
     /// went back to sleep, and only the retirement that balances the
@@ -693,7 +654,7 @@ mod suspend_tests {
             ..Config::default()
         });
         let progress = Arc::new(AtomicUsize::new(0));
-        let handle_cell: Arc<SpinLock<Option<UltHandle<()>>>> =
+        let handle_cell: Arc<SpinLock<Option<Handle<()>>>> =
             Arc::new(SpinLock::new(None));
         let (rt2, p2, hc) = (rt.clone(), progress.clone(), handle_cell.clone());
         rt.send(0, move || {
@@ -716,7 +677,7 @@ mod suspend_tests {
             std::thread::yield_now();
         };
         // Spin until the park is visible, then wake it.
-        while !h.awaken() {
+        while !awaken(&h) {
             if h.is_finished() {
                 panic!("ULT finished without awaken");
             }

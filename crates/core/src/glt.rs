@@ -8,7 +8,7 @@ use lwt_fiber::StackSize;
 use lwt_sched::{force_wait_policy, WaitPolicy};
 use lwt_sync::{Event, SpinLock};
 use lwt_ultcore::task::{TaskCell, TaskOutcome, TaskResched};
-use lwt_ultcore::{blocking, DrainError, JoinError, TaskHost};
+use lwt_ultcore::{blocking, DrainError, Handle, JoinError, TaskHost};
 
 use crate::error::{PlacementError, SpawnError};
 
@@ -283,8 +283,8 @@ enum Backend {
     Go(lwt_go::Runtime),
 }
 
-/// Completion slot for backends without native typed handles
-/// (Converse messages, goroutines).
+/// Completion slot for work that is no ULT and has no handle of its
+/// own: Converse messages (its tasklets) and blocking-pool jobs.
 struct EventSlot<T> {
     done: Event,
     value: SpinLock<Option<T>>,
@@ -347,16 +347,12 @@ pub struct GltHandle<T> {
 }
 
 enum HandleInner<T> {
-    /// Argobots ULT handle (status-word join).
-    AbtUlt(lwt_argobots::UltHandle<T>),
+    /// A ULT of any backend: the unit's own record is the join (the
+    /// Qthreads FEB return word lives inside it).
+    Ult(Handle<T>),
     /// Argobots tasklet handle.
-    AbtTasklet(lwt_argobots::TaskletHandle<T>),
-    /// Qthreads handle (FEB join).
-    Qth(lwt_qthreads::Handle<T>),
-    /// MassiveThreads handle.
-    Myth(lwt_massive::Handle<T>),
-    /// Event-backed completion (Converse messages, goroutines,
-    /// blocking-pool jobs).
+    Tasklet(lwt_argobots::TaskletHandle<T>),
+    /// Event-backed completion (Converse messages, blocking-pool jobs).
     Event(Arc<EventSlot<T>>),
     /// Stackless future spawned with [`Glt::spawn_async`]; completion
     /// is the task cell's own done event.
@@ -391,10 +387,8 @@ impl<T> GltHandle<T> {
     /// [`JoinError`] carrying the panic payload.
     pub fn try_join(self) -> Result<T, JoinError> {
         match self.inner {
-            HandleInner::AbtUlt(h) => h.try_join(),
-            HandleInner::AbtTasklet(h) => h.try_join(),
-            HandleInner::Qth(h) => h.try_join(),
-            HandleInner::Myth(h) => h.try_join(),
+            HandleInner::Ult(h) => h.try_join(),
+            HandleInner::Tasklet(h) => h.try_join(),
             HandleInner::Event(slot) => slot.try_wait(),
             HandleInner::Async(outcome) => {
                 wait_event(outcome.done());
@@ -420,10 +414,8 @@ impl<T> GltHandle<T> {
     #[must_use]
     pub fn is_finished(&self) -> bool {
         match &self.inner {
-            HandleInner::AbtUlt(h) => h.is_finished(),
-            HandleInner::AbtTasklet(h) => h.is_finished(),
-            HandleInner::Qth(h) => h.is_finished(),
-            HandleInner::Myth(h) => h.is_finished(),
+            HandleInner::Ult(h) => h.is_finished(),
+            HandleInner::Tasklet(h) => h.is_finished(),
             HandleInner::Event(slot) => slot.done.is_set(),
             HandleInner::Async(outcome) => outcome.done().is_set(),
         }
@@ -539,6 +531,9 @@ pub fn block_unit_on<T>(poll: impl FnMut(&mut Context<'_>) -> Poll<T>) -> T {
 pub struct Glt {
     backend: Backend,
     workers: usize,
+    /// Stack size of the ULTs this layer builds itself (goroutines
+    /// with a join handle).
+    stack_size: StackSize,
     drain_timeout: Duration,
     async_queue: AsyncQueuePolicy,
 }
@@ -622,6 +617,7 @@ impl Glt {
         Glt {
             backend,
             workers: cfg.workers,
+            stack_size: cfg.stack_size,
             drain_timeout: cfg.drain_timeout,
             async_queue: cfg.async_queue,
         }
@@ -657,45 +653,25 @@ impl Glt {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        match &self.backend {
-            Backend::Argobots(rt) => HandleInner::AbtUlt(rt.ult_create(f)).into(),
-            Backend::Qthreads(rt) => HandleInner::Qth(rt.fork_rr(f)).into(),
-            Backend::Massive(rt) => HandleInner::Myth(rt.spawn(f)).into(),
-            Backend::Converse(rt) => {
-                // A GLT ULT is yieldable by contract (Table II maps it
-                // to CthCreate), but Converse's insertion rule says only
-                // messages may enter another processor's queue. So the
-                // spawn is two-stage: a message — legal from any thread
-                // — lands on a processor and performs the CthCreate
-                // there; the ULT body fulfills the handle. The spawn
-                // edge is recorded here (where the causal parent is
-                // current) and the ULT *adopts* that span, so the unit
-                // traces exactly like the native-handle backends.
-                let span = lwt_metrics::span::on_spawn();
-                let slot = EventSlot::new(span);
-                let s2 = slot.clone();
-                let rt2 = rt.clone();
-                rt.send_rr(move || {
-                    let _detached = rt2.spawn_ult_spanned(span, move || {
-                        s2.fulfill(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
-                    });
-                });
-                HandleInner::Event(slot).into()
-            }
+        HandleInner::Ult(match &self.backend {
+            Backend::Argobots(rt) => rt.ult_create(f),
+            Backend::Qthreads(rt) => rt.fork_rr(f),
+            Backend::Massive(rt) => rt.spawn(f),
+            // A GLT ULT is yieldable by contract (Table II maps it to
+            // CthCreate), but Converse's insertion rule says only
+            // messages may enter another processor's queue: the ULT is
+            // built here, where its causal parent runs, and a message
+            // carries it to its processor.
+            Backend::Converse(rt) => rt.send_ult_rr(f),
+            // Go has no join; the unified API keeps the goroutine's own
+            // handle.
             Backend::Go(rt) => {
-                // Goroutines run inside a span-carrying UltCore, so the
-                // closure inherits a span natively; the slot records no
-                // second one (0 = let the ULT's span own the trace).
-                let slot = EventSlot::new(0);
-                let s2 = slot.clone();
-                rt.go(move || {
-                    s2.fulfill(std::panic::catch_unwind(
-                        std::panic::AssertUnwindSafe(f),
-                    ));
-                });
-                HandleInner::Event(slot).into()
+                let h = Handle::spawn(self.stack_size, f);
+                rt.go_unit(h.unit());
+                h
             }
-        }
+        })
+        .into()
     }
 
     /// Create a yieldable work unit pinned to execution resource
@@ -742,27 +718,14 @@ impl Glt {
                 workers: self.workers,
             });
         }
-        Ok(match &self.backend {
-            Backend::Argobots(rt) => HandleInner::AbtUlt(rt.ult_create_to(worker, f)).into(),
-            Backend::Qthreads(rt) => HandleInner::Qth(rt.fork_to(worker, f)).into(),
-            Backend::Converse(rt) => {
-                // Two-stage spawn adopting the call-site span, like
-                // ult_create (see the notes there); the CthCreate runs
-                // on the destination processor, so the ULT stays pinned
-                // to `worker`.
-                let span = lwt_metrics::span::on_spawn();
-                let slot = EventSlot::new(span);
-                let s2 = slot.clone();
-                let rt2 = rt.clone();
-                rt.send(worker, move || {
-                    let _detached = rt2.spawn_ult_spanned(span, move || {
-                        s2.fulfill(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
-                    });
-                });
-                HandleInner::Event(slot).into()
-            }
+        Ok(HandleInner::Ult(match &self.backend {
+            Backend::Argobots(rt) => rt.ult_create_to(worker, f),
+            Backend::Qthreads(rt) => rt.fork_to(worker, f),
+            // The message runs on `worker`, so the ULT stays pinned there.
+            Backend::Converse(rt) => rt.send_ult(worker, f),
             Backend::Massive(_) | Backend::Go(_) => unreachable!("rejected above"),
         })
+        .into())
     }
 
     /// Create a stackless, atomically-executed work unit where the
@@ -775,13 +738,13 @@ impl Glt {
         F: FnOnce() -> T + Send + 'static,
     {
         match &self.backend {
-            Backend::Argobots(rt) => HandleInner::AbtTasklet(rt.tasklet_create(f)).into(),
+            Backend::Argobots(rt) => HandleInner::Tasklet(rt.tasklet_create(f)).into(),
             Backend::Converse(rt) => {
                 // A Converse message IS the tasklet: stackless and
                 // atomically executed on the processor's own stack.
-                // (ult_create takes the two-stage CthCreate path for
-                // yieldability; tasklets must not yield, so the direct
-                // send is the faithful mapping.)
+                // (ult_create sends a ULT for yieldability; tasklets
+                // must not yield, so the bare send is the faithful
+                // mapping.)
                 let span = lwt_metrics::span::on_spawn();
                 let slot = EventSlot::new(span);
                 let s2 = slot.clone();

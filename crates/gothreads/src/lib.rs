@@ -189,11 +189,17 @@ impl Runtime {
     where
         F: FnOnce() + Send + 'static,
     {
-        let ult = UltCore::new(self.inner.stack_size, f);
+        self.go_unit(UltCore::new(self.inner.stack_size, f));
+    }
+
+    /// Launch an already-built goroutine: what [`Runtime::go`] does
+    /// once the unit exists, for a caller that keeps the unit's handle
+    /// (the unified API's join, which Go itself does not have).
+    pub fn go_unit(&self, g: Arc<UltCore>) {
         emit(EventKind::UltSpawn, 0);
         // A spawn from a scheduler thread lands on that worker's own
         // deque; external spawns go round-robin.
-        self.inner.pool.submit(ult.into(), || self.next_worker());
+        self.inner.pool.submit(g.into(), || self.next_worker());
     }
 
     /// Create a buffered channel (`make(chan T, cap)`); capacity 0 is

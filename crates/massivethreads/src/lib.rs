@@ -54,10 +54,10 @@ use lwt_metrics::EventKind;
 use lwt_sched::{near_first, RandomVictim};
 use lwt_ultcore::{
     run_unit, yield_to, Crew, DrainError, Policy as WorkerPolicy, PollTask, Pool, ReadyUnit,
-    ResultCell, TaskHost, UltCore,
+    TaskHost,
 };
 
-pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
+pub use lwt_ultcore::{current_worker, in_ult, yield_now, Handle, JoinError};
 
 /// ULT creation policy (`MYTH_CHILD_FIRST` / help-first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -144,57 +144,6 @@ pub struct Runtime {
     inner: Arc<RtInner>,
 }
 
-/// Join handle for a spawned ULT (`myth_thread_t` + `myth_join`).
-pub struct Handle<T> {
-    ult: Arc<UltCore>,
-    result: Arc<ResultCell<T>>,
-}
-
-impl<T> Handle<T> {
-    /// Wait for completion (`myth_join`) and take the result, surfacing
-    /// an escaped panic as a [`JoinError`] instead of re-raising it.
-    /// Inside a ULT the joiner is suspended, letting the worker keep
-    /// executing (and stealing) other work until the joined unit's
-    /// completion requeues it.
-    ///
-    /// # Errors
-    ///
-    /// [`JoinError`] carrying the panic payload.
-    pub fn try_join(self) -> Result<T, JoinError> {
-        self.ult.join_wait();
-        // Causal join edge: this context observed the unit's completion.
-        lwt_metrics::span::on_join(self.ult.span_id());
-        if let Some(p) = self.ult.take_panic() {
-            return Err(JoinError::new(p));
-        }
-        // SAFETY: TERMINATED observed; sole joiner.
-        Ok(unsafe { self.result.take() }.expect("massivethreads result missing"))
-    }
-
-    /// Wait for completion and take the result.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic that escaped the ULT's closure.
-    pub fn join(self) -> T {
-        self.try_join().unwrap_or_else(|e| e.resume())
-    }
-
-    /// Non-consuming completion test.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.ult.is_terminated()
-    }
-}
-
-impl<T> std::fmt::Debug for Handle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("massive::Handle")
-            .field("finished", &self.is_finished())
-            .finish()
-    }
-}
-
 impl Runtime {
     /// Initialize workers (`myth_init`).
     ///
@@ -259,22 +208,10 @@ impl Runtime {
         F: FnOnce(&Runtime) -> T + Send + 'static,
     {
         let rt = self.clone();
-        let result = ResultCell::new();
-        let slot = result.clone();
-        let ult = UltCore::new(self.inner.stack_size, move || {
-            let value = f(&rt);
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
-        });
+        let main = Handle::spawn(self.inner.stack_size, move || f(&rt));
         emit(EventKind::UltSpawn, 0);
-        self.inner.pool.inject(0, ult.clone().into());
-        ult.join_wait();
-        lwt_metrics::span::on_join(ult.span_id());
-        if let Some(p) = ult.take_panic() {
-            std::panic::resume_unwind(p);
-        }
-        // SAFETY: TERMINATED observed; sole joiner.
-        unsafe { result.take() }.expect("primary ULT result missing")
+        self.inner.pool.inject(0, main.unit().into());
+        main.join()
     }
 
     /// Create a ULT under the configured policy (`myth_create`).
@@ -293,13 +230,8 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let result = ResultCell::new();
-        let slot = result.clone();
-        let ult = UltCore::new(self.inner.stack_size, move || {
-            let value = f();
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
-        });
+        let child = Handle::spawn(self.inner.stack_size, f);
+        let ult = child.unit();
         // `arg` records the spawn path the paper benchmarks separately:
         // 1 = work-first ("(W)"), 0 = help-first ("(H)").
         emit(
@@ -313,7 +245,7 @@ impl Runtime {
             if !yield_to(&ult) {
                 // Claim raced (cannot normally happen for a fresh
                 // ULT); degrade to help-first.
-                self.inner.pool.inject(0, ult.clone().into());
+                self.inner.pool.inject(0, ult.into());
             }
         } else {
             // Help-first from a worker: straight onto this worker's
@@ -322,9 +254,9 @@ impl Runtime {
             // external thread: into worker 0's inbox, to be batched
             // onto its deque and stolen from there (the paper's
             // MassiveThreads (H) shape).
-            self.inner.pool.submit(ult.clone().into(), || 0);
+            self.inner.pool.submit(ult.into(), || 0);
         }
-        Handle { ult, result }
+        child
     }
 
     /// Stop all workers and join their OS threads (`myth_fini`).

@@ -2,7 +2,7 @@
 //! (the configuration the paper always selects), in ULT and Tasklet
 //! variants.
 
-use lwt_argobots::{current_stream, Config, PoolPolicy, Runtime, TaskletHandle, UltHandle};
+use lwt_argobots::{current_stream, Config, Handle, PoolPolicy, Runtime, TaskletHandle};
 use lwt_fiber::StackSize;
 
 use crate::kernels::{chunk, SharedVec};
@@ -13,7 +13,7 @@ const A: f32 = 0.5;
 
 /// A unit handle of either kind, so patterns can be written once.
 enum H {
-    Ult(UltHandle<()>),
+    Ult(Handle<()>),
     Tasklet(TaskletHandle<()>),
 }
 
@@ -150,7 +150,7 @@ impl AbtRunner {
         let tasklets = self.tasklets;
         run_reps(reps, || {
             let d = time(|| {
-                let creators: Vec<UltHandle<Vec<H>>> = (0..threads)
+                let creators: Vec<Handle<Vec<H>>> = (0..threads)
                     .map(|t| {
                         let rt = self.rt.clone();
                         self.rt.ult_create_to(t, move || {
@@ -190,7 +190,7 @@ impl AbtRunner {
         let tasklets = self.tasklets;
         run_reps(reps, || {
             let d = time(|| {
-                let outers: Vec<UltHandle<()>> = (0..threads)
+                let outers: Vec<Handle<()>> = (0..threads)
                     .map(|t| {
                         let rt = self.rt.clone();
                         self.rt.ult_create_to(t, move || {
@@ -234,7 +234,7 @@ impl AbtRunner {
                 // Parents are units of the series kind (they only
                 // *create*, which needs no stack); the master joins
                 // parents, then every child.
-                let parent_handles: Vec<lwt_argobots::UltHandle<Vec<H>>> = (0..parents)
+                let parent_handles: Vec<lwt_argobots::Handle<Vec<H>>> = (0..parents)
                     .map(|p| {
                         let rt = self.rt.clone();
                         self.rt.ult_create_to(p % threads, move || {

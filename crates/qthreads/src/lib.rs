@@ -13,23 +13,24 @@
 //!
 //! Synchronization is word-granularity **full/empty bits**: a fork
 //! returns a handle whose join performs `readFF` on the ULT's return
-//! word ([`Handle::join`]), and any address can carry a FEB through the
-//! runtime's [`FebTable`] ([`Runtime::feb`]) — including the "hidden
-//! synchronization" cost the paper warns about. Work can be pushed to
-//! the caller's shepherd (`qthread_fork` ≙ [`Runtime::fork`]), to a
-//! specific shepherd (`qthread_fork_to` ≙ [`Runtime::fork_to`]), or
-//! round-robin over shepherds ([`Runtime::fork_rr`], the paper's
-//! microbenchmark dispatch). Loop and reduction helpers
-//! ([`Runtime::loop_par`], [`Runtime::loop_accum`]) mirror
-//! `qt_loop`/`qt_loopaccum`.
+//! word, kept in the unit's own allocation, and any address can carry
+//! a FEB through the runtime's [`FebTable`] ([`Runtime::feb`]) —
+//! including the "hidden synchronization" cost the paper warns about.
+//! Work can be pushed to the caller's shepherd (`qthread_fork` ≙
+//! [`Runtime::fork`]), to a specific shepherd (`qthread_fork_to` ≙
+//! [`Runtime::fork_to`]), or round-robin over shepherds
+//! ([`Runtime::fork_rr`], the paper's microbenchmark dispatch). Loop
+//! and reduction helpers ([`Runtime::loop_par`],
+//! [`Runtime::loop_accum`]) mirror `qt_loop`/`qt_loopaccum`.
 //!
 //! The workers run the shared worker engine (`lwt_ultcore::engine`:
-//! loop, lifecycle, queues); this crate is the fork API, the FEB join
-//! handle and a policy — steal from the siblings of the same shepherd
-//! only. Qthreads' distributed structures (`qt_sinc`, `qt_dictionary`,
-//! `qt_queue`) and `qutil` are not modelled: they are no Table I
-//! difference, and `lwt_sync` plus the loop helpers above do those
-//! jobs.
+//! loop, lifecycle, queues) and join through the shared
+//! `lwt_ultcore::Handle`; this crate is the fork API, the FEB return
+//! word the join waits on, and a policy — steal from the siblings of
+//! the same shepherd only. Qthreads' distributed structures
+//! (`qt_sinc`, `qt_dictionary`, `qt_queue`) and `qutil` are not
+//! modelled: they are no Table I difference, and `lwt_sync` plus the
+//! loop helpers above do those jobs.
 //!
 //! ## Example
 //!
@@ -55,11 +56,10 @@ use lwt_metrics::EventKind;
 use lwt_sched::RoundRobin;
 use lwt_sync::{FebCell, FebTable};
 use lwt_ultcore::{
-    block_on, run_unit, Crew, DrainError, Policy, PollTask, Pool, ReadyUnit, ResultCell, TaskHost,
-    UltCore,
+    block_on, run_unit, Crew, DrainError, Policy, PollTask, Pool, ReadyUnit, Signal, TaskHost,
 };
 
-pub use lwt_ultcore::{current_worker, in_ult, yield_now, JoinError};
+pub use lwt_ultcore::{current_worker, in_ult, yield_now, Handle, JoinError};
 
 /// Runtime configuration (`qthread_initialize` environment).
 #[derive(Debug, Clone)]
@@ -147,69 +147,33 @@ pub struct Runtime {
     inner: Arc<RtInner>,
 }
 
-/// Handle to a forked work unit; joining performs `readFF` on the
-/// unit's full/empty return word.
-pub struct Handle<T> {
-    ult: Arc<UltCore>,
-    result: Arc<ResultCell<T>>,
-    ret: Arc<FebCell<u64>>,
-}
+/// A forked unit's full/empty return word, in the unit's allocation:
+/// the unit fills it as its closure returns (0, the `aligned_t`
+/// "success" value `qthread_fork` writes) or panics, and the join
+/// performs `readFF` on it (`qthread_readFF`) before taking the result.
+struct ReturnWord(FebCell<u64>);
 
-impl<T> Handle<T> {
-    /// Wait for completion (`qthread_readFF` on the return word) and
-    /// take the result, surfacing an escaped panic as a [`JoinError`]
-    /// instead of re-raising it.
-    ///
-    /// # Errors
-    ///
-    /// [`JoinError`] carrying the panic payload.
-    pub fn try_join(self) -> Result<T, JoinError> {
-        // The FEB is the paper-faithful join signal … (the FebCell
-        // itself emits the FebBlock/FebWake ring events, span-tagged;
-        // the counters stay here because they count *joins* that
-        // blocked, the §IX-C formula the fidelity tests assert).
-        // A reader that finds the word empty is suspended on the cell
-        // and resumed by the fill (`block_on` over `poll_full`).
-        let until_full = || block_on(|cx| self.ret.poll_full(cx));
-        if self.ret.is_full() {
-            self.ret.read_ff(until_full);
+impl Signal for ReturnWord {
+    fn fill(&self) {
+        self.0.write_ef(0, std::hint::spin_loop);
+    }
+
+    fn wait(&self) {
+        // The FEB is the paper-faithful join signal (the FebCell itself
+        // emits the FebBlock/FebWake ring events, span-tagged; the
+        // counters stay here because they count *joins* that blocked,
+        // the §IX-C formula the fidelity tests assert). A reader that
+        // finds the word empty is suspended on the cell and resumed by
+        // the fill (`block_on` over `poll_full`); TERMINATED, which the
+        // shared join waits for next, is the memory-safety contract.
+        let until_full = || block_on(|cx| self.0.poll_full(cx));
+        if self.0.is_full() {
+            self.0.read_ff(until_full);
         } else {
             COUNTERS.feb_blocks.inc();
-            self.ret.read_ff(until_full);
+            self.0.read_ff(until_full);
             COUNTERS.feb_wakes.inc();
         }
-        // … and TERMINATED is the memory-safety contract for the slot.
-        self.ult.join_wait();
-        // Causal join edge: this context observed the unit's completion.
-        lwt_metrics::span::on_join(self.ult.span_id());
-        if let Some(p) = self.ult.take_panic() {
-            return Err(JoinError::new(p));
-        }
-        // SAFETY: TERMINATED observed; we consume the only handle.
-        Ok(unsafe { self.result.take() }.expect("qthreads result missing"))
-    }
-
-    /// Wait for completion and take the result.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic that escaped the work unit's closure.
-    pub fn join(self) -> T {
-        self.try_join().unwrap_or_else(|e| e.resume())
-    }
-
-    /// Non-consuming completion test (`qthread_feb_status`).
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.ret.is_full()
-    }
-}
-
-impl<T> std::fmt::Debug for Handle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("qthreads::Handle")
-            .field("finished", &self.is_finished())
-            .finish()
     }
 }
 
@@ -325,24 +289,7 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let result = ResultCell::new();
-        let ret = Arc::new(FebCell::new());
-        let (slot, word) = (result.clone(), ret.clone());
-        let ult = UltCore::new(self.inner.stack_size, move || {
-            // Fill the return word even if `f` panics (drop guard runs
-            // during unwinding): joiners' readFF must always unblock. 0
-            // is the aligned_t "success" value qthread_fork writes.
-            struct FillOnExit(Arc<FebCell<u64>>);
-            impl Drop for FillOnExit {
-                fn drop(&mut self) {
-                    self.0.write_ef(0, std::hint::spin_loop);
-                }
-            }
-            let _fill = FillOnExit(word);
-            let value = f();
-            // SAFETY: sole writer, before TERMINATED.
-            unsafe { slot.put(value) };
-        });
+        let ult = Handle::spawn_with(self.inner.stack_size, 0, ReturnWord(FebCell::new()), f);
         // `arg` = target shepherd: the fork_to dispatch decision.
         emit(EventKind::UltSpawn, shepherd as u64);
         // A fork from a worker already inside the target shepherd lands
@@ -353,8 +300,8 @@ impl Runtime {
             Some(w) if self.inner.worker_shepherd.get(w) == Some(&shepherd) => w,
             _ => self.worker_of(shepherd),
         };
-        self.inner.pool.push(target, ult.clone().into());
-        Handle { ult, result, ret }
+        self.inner.pool.push(target, ult.unit().into());
+        ult
     }
 
     /// The next worker of `shepherd` in its external-dispatch rotation.

@@ -51,7 +51,7 @@
 //!
 //! * `active` — never sleep: [`ParkGroup::park`] degrades to the old
 //!   bounded nap, for latency-critical runs that own their cores.
-//! * `passive` — sleep as soon as the caller's backoff is exhausted.
+//! * `passive` — sleep as soon as a sweep of the queues comes up dry.
 //! * `adaptive` (default) — yield the OS thread for a grace window of
 //!   up to 32 rounds (re-checking for work, and polling the I/O
 //!   reactor, each round), then sleep. The window's length is learned
@@ -353,10 +353,10 @@ impl ParkGroup {
     }
 
     /// The idle path. Call when a sweep of every queue came up dry
-    /// (typically once the caller's backoff saturates); `pending`
-    /// must cheaply estimate the work currently visible to this
-    /// worker (queue lengths), and is what the post-announce re-check
-    /// consults.
+    /// (the engine calls it right after one such sweep and one reactor
+    /// poll); `pending` must cheaply estimate the work currently
+    /// visible to this worker (queue lengths), and is what the
+    /// post-announce re-check consults.
     ///
     /// On wake (token or timeout) the caller should re-sweep its
     /// queues and, if still dry, call `park` again — the re-announce

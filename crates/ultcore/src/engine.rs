@@ -3,7 +3,7 @@
 //!
 //! * [`Policy`] + [`worker_loop`] — the scheduling loop every worker,
 //!   processor and execution stream runs. The loop owns the idle path
-//!   (exit test → reactor poll → backoff → park) and the busy poll; a
+//!   (exit test → reactor poll → park) and the busy poll; a
 //!   policy owns what
 //!   Table I says the libraries disagree on: where the next unit comes
 //!   from, how it runs, which queues the worker can reach.
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use lwt_metrics::registry::{emit, COUNTERS, STEAL_DWELL};
 use lwt_metrics::{clock, timeline, EventKind, WorkerState};
 use lwt_sched::{ParkGroup, ReadyQueue};
-use lwt_sync::{Backoff, SpinLock};
+use lwt_sync::SpinLock;
 
 use crate::{
     current_worker, enter_worker, DrainError, PollTask, ReadyUnit, Requeue, Straggler,
@@ -57,7 +57,8 @@ pub trait Policy {
 
     /// The next unit: the worker's own queue first, then whatever the
     /// backend allows it to take from others. One bounded sweep — no
-    /// retry loop, the engine supplies the backoff.
+    /// retry loop: an empty one sends the worker to the park, whose
+    /// grace window does the retrying.
     fn next(&mut self) -> Option<Self::Unit>;
 
     /// Execute one unit until it yields, suspends or finishes.
@@ -91,7 +92,6 @@ const BUSY_POLL_DISPATCHES: u32 = 61;
 /// until `ctl` says stop and the policy reports the worker drained (or
 /// says abandon). `label` names the backend in watchdog reports.
 pub fn worker_loop<P: Policy>(ctl: &Control, worker: usize, label: &'static str, mut policy: P) {
-    let mut backoff = Backoff::new();
     let mut dispatched: u32 = 0;
     // Timestamp of the moment this worker ran dry; 0 while it has
     // work. Feeds the steal-dwell histogram on the next acquire: two
@@ -114,7 +114,6 @@ pub fn worker_loop<P: Policy>(ctl: &Control, worker: usize, label: &'static str,
                 if lwt_chaos::should_inject(lwt_chaos::FaultSite::YieldPoint) {
                     std::thread::yield_now();
                 }
-                backoff.reset();
                 policy.run(unit);
                 // With every worker busy nobody sleeps in the reactor.
                 dispatched += 1;
@@ -134,26 +133,21 @@ pub fn worker_loop<P: Policy>(ctl: &Control, worker: usize, label: &'static str,
                     break;
                 }
                 timeline::enter(WorkerState::Idle);
-                // Dry sweep: give the I/O reactor (if one is running)
-                // a zero-timeout poll before burning backoff rounds —
+                // One dry sweep proves the worker dry. Give the I/O
+                // reactor (if one is running) a zero-timeout poll —
                 // readiness wakes repost through the runtime's own
-                // queues, so a non-zero return means work may exist.
+                // queues, so a non-zero return means work may exist —
+                // then park. The park's grace window is the idle
+                // path's only spin, and an adaptive one: a spin here
+                // ahead of it would catch the gaps the window learns
+                // from. The re-check counts only work this worker can
+                // reach, so a unit somebody else must run never aborts
+                // the park; why the park ended does not matter, the
+                // next sweep finds out.
                 if lwt_sched::io_poll() > 0 {
-                    backoff.reset();
                     continue;
                 }
-                backoff.spin();
-                if backoff.is_saturated() {
-                    // The sweeps proved the worker dry: sleep instead
-                    // of burning the core. The re-check counts only
-                    // work this worker can reach, so a unit somebody
-                    // else must run never aborts the park. Why the
-                    // park ended does not matter: a unit found on the
-                    // next sweep (or readiness collected) resets the
-                    // backoff, and an empty wake goes straight back to
-                    // sleep instead of through seven more dry sweeps.
-                    let _ = ctl.park.park(worker, Some(&heartbeat), || policy.reachable());
-                }
+                let _ = ctl.park.park(worker, Some(&heartbeat), || policy.reachable());
             }
         }
     }

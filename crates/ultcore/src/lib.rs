@@ -14,7 +14,10 @@
 //!   `ReadyQueue`s of Go, MassiveThreads and Qthreads with their
 //!   [`Requeue`] hook) and [`TaskHost`] (task posting).
 //! * [`UltCore`] — the work-unit record (state word, saved context,
-//!   stack, entry closure, panic slot), for every backend's ULTs.
+//!   stack) with the unit's [`Work`] — closure, then result — as its
+//!   unsized tail: one allocation per ULT, for every backend's ULTs.
+//! * [`Handle`] — the one typed join handle over that record: the
+//!   same `Arc`, reading the result back through [`Body::take_into`].
 //! * [`WorkerCtx`]/[`enter_worker`] — the per-OS-thread executor
 //!   context with the **post-switch protocol** (see below).
 //! * [`run_ult`] — claim + switch into a ULT from a worker loop.
@@ -58,10 +61,12 @@ pub use task::{run_unit, PollTask, ReadyUnit, TaskCell, TaskOutcome, TaskResched
 
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
+use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use lwt_fiber::{cache, init_context, switch, switch_final, CachedStack, RawContext, StackSize};
 use lwt_metrics::registry::{emit, record_spawn_latency, timestamp_if_tracing, COUNTERS};
@@ -123,19 +128,139 @@ impl<F: Fn(usize, Arc<UltCore>) + Send + Sync + 'static> Requeue for F {
     }
 }
 
-/// A stackful user-level thread record.
-pub struct UltCore {
+/// What a unit runs and what its join takes: the unsized tail of every
+/// [`UltCore`] (and of an Argobots tasklet). [`Work`] is the one
+/// implementation; the trait exists so queues can hold units whose
+/// closures and result types differ, and a typed handle reads the
+/// result back through [`Body::take_into`].
+pub trait Body: Send + Sync + 'static {
+    /// Run the unit's closure, catching a panic, and keep its outcome
+    /// for the join; then fill the backend's [`Signal`].
+    ///
+    /// # Safety
+    ///
+    /// The caller holds the unit's RUNNING claim, and calls this once.
+    unsafe fn run(&self);
+
+    /// Move the outcome — the value, or the panic that escaped the
+    /// closure — into `out`; leaves `out` alone if it was taken already.
+    ///
+    /// # Safety
+    ///
+    /// `out` points to an `Option<std::thread::Result<T>>` for the
+    /// closure's own result type `T`; the caller observed the unit's
+    /// `TERMINATED` state (Acquire) and is the only taker.
+    unsafe fn take_into(&self, out: *mut ());
+
+    /// Wait on the backend's [`Signal`]; returns at once for `()`.
+    fn wait_signal(&self);
+}
+
+/// A backend's own completion word, kept in the unit's allocation:
+/// filled by the unit right after its closure returns or panics, and
+/// waited on by its join before the state word. Qthreads' FEB return
+/// word (`readFF`) is one; `()` is the none every other backend uses.
+pub trait Signal: Send + Sync + 'static {
+    /// Publish completion. Called once, on the unit's own stack.
+    fn fill(&self);
+    /// Block (suspend, inside a unit) until [`Signal::fill`].
+    fn wait(&self);
+}
+
+impl Signal for () {
+    fn fill(&self) {}
+    fn wait(&self) {}
+}
+
+enum Stage<F, T> {
+    /// Not run yet.
+    Pending(F),
+    /// Ran: the value, or the escaped panic.
+    Done(std::thread::Result<T>),
+    /// Running, or joined.
+    Taken,
+}
+
+/// A unit's closure, then its outcome, in place, plus the backend's
+/// [`Signal`]: the tail that makes a unit one allocation.
+pub struct Work<F, T, S> {
+    stage: UnsafeCell<Stage<F, T>>,
+    signal: S,
+}
+
+// SAFETY: `stage` follows the claim protocol — the closure is taken and
+// the outcome stored by the worker holding the RUNNING claim, and the
+// outcome is taken only after TERMINATED (Release/Acquire) by the one
+// consuming joiner.
+unsafe impl<F: Send, T: Send, S: Send> Send for Work<F, T, S> {}
+// SAFETY: see above; `signal` is shared as is.
+unsafe impl<F: Send, T: Send, S: Sync> Sync for Work<F, T, S> {}
+
+impl<F, T, S> Work<F, T, S> {
+    /// `f`, not yet run, with `signal` empty.
+    pub fn new(f: F, signal: S) -> Self {
+        Work {
+            stage: UnsafeCell::new(Stage::Pending(f)),
+            signal,
+        }
+    }
+}
+
+impl<F, T, S> Body for Work<F, T, S>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+    S: Signal,
+{
+    unsafe fn run(&self) {
+        // SAFETY: the RUNNING claim makes this the only access.
+        let Stage::Pending(f) = (unsafe { std::mem::replace(&mut *self.stage.get(), Stage::Taken) })
+        else {
+            unreachable!("a unit's closure runs once")
+        };
+        let out = catch_unwind(AssertUnwindSafe(f));
+        // SAFETY: still exclusive until TERMINATED is published.
+        unsafe { *self.stage.get() = Stage::Done(out) };
+        self.signal.fill();
+    }
+
+    unsafe fn take_into(&self, out: *mut ()) {
+        // SAFETY: forwarded contract — the unit is done with the slot,
+        // and `out` has this closure's result type.
+        unsafe {
+            if let Stage::Done(o) = std::mem::replace(&mut *self.stage.get(), Stage::Taken) {
+                *out.cast::<Option<std::thread::Result<T>>>() = Some(o);
+            }
+        }
+    }
+
+    fn wait_signal(&self) {
+        self.signal.wait();
+    }
+}
+
+/// Re-types the thin address of a unit as the record every queue holds.
+type Erase = fn(*const ()) -> *const UltCore;
+
+/// [`Erase`] for units whose tail is `W`.
+fn erase<W: Body>(p: *const ()) -> *const UltCore {
+    p.cast::<UltCore<W>>() as *const UltCore
+}
+
+/// A stackful user-level thread record, with its [`Body`] as the
+/// unsized tail. Queues, workers, wakers and its [`Handle`] all hold
+/// the one allocation as `Arc<UltCore>` (`UltCore<dyn Body>`).
+#[repr(C)]
+pub struct UltCore<B: ?Sized = dyn Body> {
+    /// First, so a waker's thin pointer to the record finds it
+    /// (`repr(C)`: offset 0 whatever the tail).
+    erase: Erase,
     state: AtomicU8,
     /// Saved context; valid whenever not RUNNING.
     ctx: UnsafeCell<RawContext>,
     /// Owned stack, on loan from the recycle cache; returned to it
     /// when the last Arc drops.
     stack: UnsafeCell<Option<CachedStack>>,
-    /// Entry closure, taken at first execution.
-    entry: UnsafeCell<Option<Box<dyn FnOnce() + Send + 'static>>>,
-    /// Panic escaped from the entry closure; re-raised by the join
-    /// wrapper the runtime builds.
-    panic: UnsafeCell<Option<Box<dyn Any + Send>>>,
     /// The suspend/awaken handshake ([`crate::suspend`] parks in the
     /// post-switch Block processing, [`crate::awaken`] unparks).
     park: UnitPark,
@@ -156,22 +281,25 @@ pub struct UltCore {
     /// Creation timestamp for the spawn-to-first-run histogram; zero
     /// when tracing is off (the stamp is skipped) or already consumed.
     spawn_ns: AtomicU64,
-    /// Causal span id ([`lwt_metrics::span`]), written once in `new`
+    /// Causal span id ([`lwt_metrics::span`]), written once in `build`
     /// before the Arc is shared — plain field, no atomic needed. Zero
     /// when tracing was off at spawn; every hot-path use is gated on
     /// that, so the disabled cost is one field load.
     span: u64,
+    /// The closure, then its outcome.
+    body: B,
 }
 
 // SAFETY: interior fields follow the claim protocol — only the worker
-// holding the RUNNING claim touches ctx/entry/panic; state transitions
-// publish with Release/Acquire.
-unsafe impl Send for UltCore {}
+// holding the RUNNING claim touches ctx and runs the body; state
+// transitions publish with Release/Acquire.
+unsafe impl<B: ?Sized + Send> Send for UltCore<B> {}
 // SAFETY: see above.
-unsafe impl Sync for UltCore {}
+unsafe impl<B: ?Sized + Sync> Sync for UltCore<B> {}
 
 impl UltCore {
-    /// Allocate a ULT that will run `f` when first scheduled.
+    /// Allocate a ULT that will run `f` when first scheduled, with no
+    /// join handle (goroutines; [`Handle::spawn`] for one).
     ///
     /// The returned Arc must be enqueued by the caller (state starts
     /// READY).
@@ -180,69 +308,7 @@ impl UltCore {
     where
         F: FnOnce() + Send + 'static,
     {
-        Self::build(stack_size, span::on_spawn(), 0, f)
-    }
-
-    /// Like [`UltCore::new`], but adopting `span` instead of allocating
-    /// one — for spawns whose causal edge was recorded earlier on a
-    /// different thread (e.g. Converse's two-stage bootstrap, where the
-    /// `GLT_ult_create` call site owns the spawn edge and the CthCreate
-    /// happens later inside a message). Pass `0` to run span-less.
-    #[must_use]
-    pub fn with_span<F>(stack_size: StackSize, span: u64, f: F) -> Arc<UltCore>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        Self::build(stack_size, span, 0, f)
-    }
-
-    /// Like [`UltCore::new`], for a unit that belongs to queue
-    /// `home_queue` of its runtime ([`UltCore::home_queue`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `home_queue` does not fit in a `u32`.
-    #[must_use]
-    pub fn with_home<F>(stack_size: StackSize, home_queue: usize, f: F) -> Arc<UltCore>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let home_queue = u32::try_from(home_queue).expect("queue index fits in u32");
-        Self::build(stack_size, span::on_spawn(), home_queue, f)
-    }
-
-    fn build<F>(stack_size: StackSize, span: u64, home_queue: u32, f: F) -> Arc<UltCore>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        COUNTERS.ults_created.inc();
-        let stack = cache::acquire(stack_size);
-        let ult = Arc::new(UltCore {
-            state: AtomicU8::new(state::READY),
-            ctx: UnsafeCell::new(RawContext::null()),
-            stack: UnsafeCell::new(None),
-            entry: UnsafeCell::new(Some(Box::new(f))),
-            panic: UnsafeCell::new(None),
-            park: UnitPark::new(),
-            joiners: WaitList::new(),
-            home: OnceLock::new(),
-            home_worker: AtomicUsize::new(0),
-            home_queue,
-            spawn_ns: AtomicU64::new(timestamp_if_tracing()),
-            span,
-        });
-        // SAFETY: ult_entry never returns; the data pointer is kept
-        // alive by the Arc the worker holds while executing; moving the
-        // Stack into the record does not move its heap allocation.
-        let ctx = unsafe {
-            init_context(&stack, ult_entry, Arc::as_ptr(&ult).cast_mut().cast::<u8>())
-        };
-        // SAFETY: not yet shared.
-        unsafe {
-            *ult.ctx.get() = ctx;
-            *ult.stack.get() = Some(stack);
-        }
-        ult
+        build(stack_size, 0, Work::new(f, ()))
     }
 
     /// Claim READY → RUNNING, acquiring exclusive execution rights.
@@ -263,7 +329,7 @@ impl UltCore {
         self.state.load(Ordering::Acquire)
     }
 
-    /// The queue index given to [`UltCore::with_home`] (0 otherwise):
+    /// The queue index given to [`Handle::spawn_with`] (0 otherwise):
     /// where an Argobots ULT goes back to on every yield and wake.
     #[must_use]
     #[inline]
@@ -285,24 +351,38 @@ impl UltCore {
     }
 
     /// Wait for the ULT to complete — the mechanism under every
-    /// ultcore-family join. A joiner inside a ULT is suspended and
-    /// requeued by the completing worker; one on a plain OS thread
-    /// sleeps in `thread::park`.
+    /// join. A joiner inside a ULT is suspended and requeued by the
+    /// completing worker; one on a plain OS thread sleeps in
+    /// `thread::park`.
     pub fn join_wait(&self) {
         self.joiners
             .wait_until(BlockKind::Join, || self.is_terminated(), |poll| block_on(poll));
     }
+}
 
-    /// Take the panic payload, if the entry closure panicked.
-    ///
-    /// Only meaningful after [`UltCore::is_terminated`] returns true;
-    /// the runtime's join path calls this before reading results.
-    pub fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        debug_assert!(self.is_terminated());
-        // SAFETY: TERMINATED (Acquire) means the unit will never touch
-        // the slot again; callers hold the join handle exclusively.
-        unsafe { (*self.panic.get()).take() }
-    }
+/// Allocate the record for `body`, bootstrap its context on a cached
+/// stack, and record the spawn: the one place a ULT is made.
+fn build<W: Body>(stack_size: StackSize, home_queue: u32, body: W) -> Arc<UltCore<W>> {
+    COUNTERS.ults_created.inc();
+    let stack = cache::acquire(stack_size);
+    // SAFETY: ult_entry never returns and finds its unit in the
+    // worker's `current`, not through the (unused) data pointer.
+    let ctx = unsafe { init_context(&stack, ult_entry, std::ptr::null_mut()) };
+    Arc::new(UltCore {
+        erase: erase::<W>,
+        state: AtomicU8::new(state::READY),
+        ctx: UnsafeCell::new(ctx),
+        // Moving the stack into the record does not move its memory.
+        stack: UnsafeCell::new(Some(stack)),
+        park: UnitPark::new(),
+        joiners: WaitList::new(),
+        home: OnceLock::new(),
+        home_worker: AtomicUsize::new(0),
+        home_queue,
+        spawn_ns: AtomicU64::new(timestamp_if_tracing()),
+        span: span::on_spawn(),
+        body,
+    })
 }
 
 impl std::fmt::Debug for UltCore {
@@ -314,6 +394,101 @@ impl std::fmt::Debug for UltCore {
             _ => "terminated",
         };
         write!(f, "UltCore({s})")
+    }
+}
+
+/// The join handle of a ULT, on every backend: the unit's own `Arc`,
+/// typed by the closure's result. Dropping it without joining detaches
+/// the unit.
+pub struct Handle<T> {
+    ult: Arc<UltCore>,
+    /// Only the constructors below make a handle, each from a [`Work`]
+    /// whose result type is `T` (and `Send`): what `take_into` needs.
+    result: PhantomData<fn() -> T>,
+}
+
+impl<T: Send + 'static> Handle<T> {
+    /// Allocate a ULT that will run `f` when first scheduled. Enqueue
+    /// [`Handle::unit`] to start it.
+    #[must_use]
+    pub fn spawn<F>(stack_size: StackSize, f: F) -> Self
+    where
+        F: FnOnce() -> T + Send + 'static,
+    {
+        Self::spawn_with(stack_size, 0, (), f)
+    }
+
+    /// [`Handle::spawn`] for a unit that belongs to queue `home_queue`
+    /// of its runtime ([`UltCore::home_queue`]; Argobots' home pool, 0
+    /// elsewhere) and whose join waits on `signal` before the state
+    /// word (Qthreads' FEB return word, `()` elsewhere).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home_queue` does not fit in a `u32`.
+    #[must_use]
+    pub fn spawn_with<F, S>(stack_size: StackSize, home_queue: usize, signal: S, f: F) -> Self
+    where
+        F: FnOnce() -> T + Send + 'static,
+        S: Signal,
+    {
+        let home_queue = u32::try_from(home_queue).expect("queue index fits in u32");
+        Handle {
+            ult: build(stack_size, home_queue, Work::new(f, signal)),
+            result: PhantomData,
+        }
+    }
+}
+
+impl<T> Handle<T> {
+    /// The unit as queues hold it: the same allocation, one more
+    /// reference.
+    #[must_use]
+    pub fn unit(&self) -> Arc<UltCore> {
+        self.ult.clone()
+    }
+
+    /// Wait for completion and take the result, surfacing a panic that
+    /// escaped the closure as a [`JoinError`] instead of re-raising it.
+    /// Inside a ULT the joiner is suspended (its worker runs other units
+    /// meanwhile) and requeued by the completion; a plain OS thread —
+    /// the paper's master-thread join — sleeps in `thread::park`.
+    ///
+    /// # Errors
+    ///
+    /// [`JoinError`] carrying the panic payload.
+    pub fn try_join(self) -> Result<T, JoinError> {
+        self.ult.body.wait_signal();
+        self.ult.join_wait();
+        // Causal join edge: this context observed the unit's completion.
+        span::on_join(self.ult.span);
+        let mut out: Option<std::thread::Result<T>> = None;
+        // SAFETY: the unit's result type is `T` (see `result`);
+        // join_wait returned, so TERMINATED was observed with Acquire;
+        // the handle is consumed, so this is the only take.
+        unsafe { self.ult.body.take_into((&raw mut out).cast()) };
+        out.expect("ULT result already taken").map_err(JoinError::new)
+    }
+
+    /// Wait for completion and take the result.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic that escaped the closure.
+    pub fn join(self) -> T {
+        self.try_join().unwrap_or_else(|e| e.resume())
+    }
+
+    /// Non-consuming completion test.
+    #[must_use]
+    pub fn is_finished(&self) -> bool {
+        self.ult.is_terminated()
+    }
+}
+
+impl<T> std::fmt::Debug for Handle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Handle").field(&self.ult).finish()
     }
 }
 
@@ -482,22 +657,23 @@ pub fn run_ult(ult: &Arc<UltCore>) -> bool {
 }
 
 /// Entry point of every ULT (first frames on its own stack).
-unsafe extern "sysv64" fn ult_entry(data: *mut u8) -> ! {
+unsafe extern "sysv64" fn ult_entry(_: *mut u8) -> ! {
     let w = worker_ptr();
     debug_assert!(!w.is_null());
     // SAFETY: live worker ctx; completes any handoff that targeted us.
     unsafe { process_post(w) };
 
-    // SAFETY: kept alive by the Arc in the worker's `current`.
-    let ult = unsafe { &*data.cast::<UltCore>() };
-    // SAFETY: the RUNNING claim grants exclusive access.
-    let f = unsafe { (*ult.entry.get()).take().expect("ULT entry missing") };
-    if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
-        // SAFETY: still exclusive until TERMINATED.
-        unsafe { *ult.panic.get() = Some(p) };
-    }
+    // The unit is whatever the worker just switched into. A raw
+    // pointer, not a borrow of `current`: yields hand the unit from
+    // worker to worker, and whichever holds it keeps it alive.
+    // SAFETY: live worker ctx, whose `current` is this unit.
+    let ult: *const UltCore =
+        unsafe { Arc::as_ptr((*w).current.as_ref().expect("starting ULT not current")) };
+    // SAFETY: the RUNNING claim grants exclusive access, once.
+    unsafe { (*ult).body.run() };
     // Final segment ends here, on whichever worker ran it.
-    span::on_complete(ult.span);
+    // SAFETY: see above.
+    span::on_complete(unsafe { (*ult).span });
 
     // Re-fetch: yields may have migrated us to another worker.
     let w = worker_ptr();
@@ -639,15 +815,36 @@ pub fn awaken(ult: &Arc<UltCore>) -> bool {
     !ult.is_terminated()
 }
 
-impl Wake for UltCore {
-    fn wake(self: Arc<Self>) {
-        awaken(&self);
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        awaken(self);
-    }
+/// The unit a waker's data pointer — a thin `Arc::into_raw` of it —
+/// names.
+///
+/// # Safety
+///
+/// `p` came from [`unit_waker`] (or a clone) and its reference is live.
+unsafe fn waker_unit(p: *const ()) -> *const UltCore {
+    // SAFETY: `p` addresses a live UltCore, whose first field
+    // (`repr(C)`) is its `erase` function.
+    unsafe { (*p.cast::<Erase>())(p) }
 }
+
+/// `Waker` vtable over a unit's own `Arc`: `clone` is one count
+/// increment, `wake` an [`awaken`]. (`Waker::from(Arc<_>)` needs a
+/// sized `Arc`; a unit's is a fat pointer, so the data word carries
+/// its thin address and the record re-types it.)
+const UNIT_WAKER: RawWakerVTable = RawWakerVTable::new(
+    // SAFETY (all four): `p` holds one reference, per `waker_unit`.
+    |p| {
+        unsafe { Arc::increment_strong_count(waker_unit(p)) };
+        RawWaker::new(p, &UNIT_WAKER)
+    },
+    |p| {
+        awaken(&unsafe { Arc::from_raw(waker_unit(p)) });
+    },
+    |p| {
+        awaken(&ManuallyDrop::new(unsafe { Arc::from_raw(waker_unit(p)) }));
+    },
+    |p| drop(unsafe { Arc::from_raw(waker_unit(p)) }),
+);
 
 /// A [`Waker`] that [`awaken`]s the calling ULT — a clone of the unit's
 /// own `Arc`, so building one allocates nothing. Pair it with
@@ -662,7 +859,10 @@ pub fn unit_waker() -> Waker {
     assert!(!w.is_null(), "lwt_ultcore::unit_waker() outside a ULT");
     // SAFETY: live ctx of this thread.
     let me = unsafe { (*w).current.clone() };
-    Waker::from(me.expect("lwt_ultcore::unit_waker() outside a ULT"))
+    let me = me.expect("lwt_ultcore::unit_waker() outside a ULT");
+    let p = Arc::into_raw(me).cast::<()>();
+    // SAFETY: UNIT_WAKER's contract matches the reference `p` holds.
+    unsafe { Waker::from_raw(RawWaker::new(p, &UNIT_WAKER)) }
 }
 
 /// Whether the caller is executing inside a ULT.
@@ -816,45 +1016,6 @@ impl std::fmt::Display for JoinError {
 
 impl std::error::Error for JoinError {}
 
-/// Result slot shared between a spawned closure and its join handle;
-/// synchronized by the ULT's TERMINATED transition.
-pub struct ResultCell<T>(UnsafeCell<Option<T>>);
-
-// SAFETY: single writer before TERMINATED, readers after (Acquire).
-unsafe impl<T: Send> Send for ResultCell<T> {}
-// SAFETY: see above.
-unsafe impl<T: Send> Sync for ResultCell<T> {}
-
-impl<T> ResultCell<T> {
-    /// An empty slot.
-    #[must_use]
-    pub fn new() -> Arc<Self> {
-        Arc::new(ResultCell(UnsafeCell::new(None)))
-    }
-
-    /// Store the result. Called exactly once, by the spawned closure.
-    ///
-    /// # Safety
-    ///
-    /// Must happen-before the owning unit's TERMINATED publication, on
-    /// the unit's own execution.
-    pub unsafe fn put(&self, value: T) {
-        // SAFETY: forwarded contract.
-        unsafe { *self.0.get() = Some(value) };
-    }
-
-    /// Take the result after observing TERMINATED.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have observed the owning unit's TERMINATED state
-    /// with Acquire ordering and be the only joiner.
-    pub unsafe fn take(&self) -> Option<T> {
-        // SAFETY: forwarded contract.
-        unsafe { (*self.0.get()).take() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -964,26 +1125,20 @@ mod tests {
     }
 
     #[test]
-    fn result_cell_round_trip() {
+    fn handle_round_trip() {
         let rt = MiniRt::new(1);
-        let cell = ResultCell::new();
-        let c2 = cell.clone();
-        let u = rt.spawn(move || {
-            // SAFETY: before TERMINATED, sole writer.
-            unsafe { c2.put(99) };
-        });
-        u.join_wait();
-        // SAFETY: TERMINATED observed; sole joiner.
-        assert_eq!(unsafe { cell.take() }, Some(99));
+        let h = Handle::spawn(StackSize(32 * 1024), || 99);
+        rt.pool.inject(0, h.unit().into());
+        assert_eq!(h.join(), 99);
         rt.shutdown();
     }
 
     #[test]
     fn panic_is_captured_not_fatal() {
         let rt = MiniRt::new(1);
-        let u = rt.spawn(|| panic!("inside ULT"));
-        u.join_wait();
-        let p = u.take_panic().expect("panic captured");
+        let h = Handle::spawn(StackSize(32 * 1024), || -> u8 { panic!("inside ULT") });
+        rt.pool.inject(0, h.unit().into());
+        let p = h.try_join().expect_err("panic captured").into_panic();
         assert_eq!(p.downcast_ref::<&str>(), Some(&"inside ULT"));
         rt.shutdown();
     }
